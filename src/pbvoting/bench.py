@@ -76,7 +76,8 @@ class ResultRow:
     util_ratio: Optional[Fraction]
     rep_ratio: Optional[Fraction]
     ejr: str                          # verdict status, or "" on failure
-    wall_ms: Optional[int]
+    wall_ms: Optional[int]            # the rule's own time; scoring and the
+                                      # EJR audit are not included
     reason: str                       # "" on success
 
     @property
@@ -194,11 +195,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 rows.append(ResultRow(instance_id, rule, None, None, None,
                                       None, "", None, str(e)))
                 continue
+            ms = (int(round((time.perf_counter() - t0) * 1000))
+                  if spec.record_time else None)
             sw = social_welfare(prof, bundle)
             rp = representation(prof, bundle)
             verdict = find_ejr_violation(inst, prof, bundle, spec.t_cap)
-            ms = (int(round((time.perf_counter() - t0) * 1000))
-                  if spec.record_time else None)
             rows.append(ResultRow(
                 instance_id, rule, sw, rp,
                 Fraction(sw, opt_sw) if opt_sw else None,

@@ -123,6 +123,20 @@ class ApprovalProfile:
                 )
 
 
+def group_ballots(profile: ApprovalProfile) -> tuple[list[frozenset], list[int]]:
+    """Distinct ballots in canonical (sorted-id) order, with their counts.
+
+    Voters with identical ballots are interchangeable for every score and
+    rule here, so the optimizers, the sequential rules and the EJR audit all
+    run over these weighted groups instead of individual voters.
+    """
+    weights: dict[frozenset, int] = {}
+    for ballot in profile.ballots:
+        weights[ballot] = weights.get(ballot, 0) + 1
+    ballots = sorted(weights, key=lambda b: tuple(sorted(b)))
+    return ballots, [weights[b] for b in ballots]
+
+
 def _check_bundle(instance: Optional[PBInstance], bundle: Iterable[str]):
     if instance is not None:
         known = set(instance.project_ids)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import ApprovalProfile, PBInstance
+from .core import ApprovalProfile, PBInstance, group_ballots
 
 TIE_CAP = 10_000  # incumbent-equal bundles kept before tie-breaking
 
@@ -77,14 +77,6 @@ class _Stop(Exception):
     pass
 
 
-def _group_ballots(profile: ApprovalProfile) -> tuple[list[frozenset], list[int]]:
-    weights: dict[frozenset, int] = {}
-    for ballot in profile.ballots:
-        weights[ballot] = weights.get(ballot, 0) + 1
-    ballots = sorted(weights, key=lambda b: tuple(sorted(b)))
-    return ballots, [weights[b] for b in ballots]
-
-
 class _Search:
     """One branch-and-bound context; the node budget spans all phases."""
 
@@ -98,7 +90,7 @@ class _Search:
         self.max_nodes = search_budget.max_nodes
         self.nodes = 0
 
-        ballots, weights = _group_ballots(profile)
+        ballots, weights = group_ballots(profile)
         self.weights = weights
         static_val = {p.id: 0 for p in instance.projects}
         for ballot, w in zip(ballots, weights):

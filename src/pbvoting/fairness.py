@@ -9,19 +9,31 @@ certificate when it finds one.
 Only maximal supporter sets need testing: growing S can only help the budget
 condition, and the entitlement must hold for *all* members, so for a fixed T
 the decisive group is the set of all under-represented supporters of T.  That
-collapses the search to one candidate S per T.  Candidate sets T are subsets
-of individual ballots (T must be jointly approved, so it is contained in any
-supporter's ballot).
+collapses the search to one candidate S per T:
+AND(approvers of each project in T) & under[|T|], where under[k] holds the
+voters with fewer than k funded approvals.  Voter sets are Python ints used
+as bitsets; voters with identical ballots (`core.group_ballots`) share one
+mask while the bitsets are built.
+
+T is grown depth-first, adding projects in instance order, so every set is
+visited at most once.  A branch is cut when
+budget * |approvers(T)| < n * cost(T).  The cut is sound: when T grows, its
+approvers can only shrink and its cost can only grow, so no superset T' of T
+can satisfy budget * |S'| >= n * cost(T') with S' inside approvers(T).  The
+cut also covers cost(T) > budget, since |approvers(T)| <= n.  Approvers are
+counted among under[depth] only, as no supporter of a set of at most `depth`
+projects lies outside it.  The depth is min(t_cap, longest ballot): no voter
+approves a larger T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .core import ApprovalProfile, PBInstance, UnknownProjectError
+from .core import ApprovalProfile, PBInstance, group_ballots
 
 
 @dataclass(frozen=True)
@@ -85,35 +97,70 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
         t_cap = default_t_cap(instance)
     if t_cap < 0:
         raise ValueError("t_cap must be non-negative")
-
-    n = profile.n_voters
-    share_unit = Fraction(instance.budget, n)
-    overlap = [len(ballot & funded) for ballot in profile.ballots]
-
-    seen: set[frozenset[str]] = set()
-    for i, ballot in enumerate(profile.ballots):
-        # T must sit inside some member's ballot; a member is only relevant
-        # while under-represented, i.e. overlap < |T|
-        max_size = min(len(ballot), t_cap)
-        for size in range(overlap[i] + 1, max_size + 1):
-            for T in combinations(sorted(ballot), size):
-                T = frozenset(T)
-                if T in seen:
-                    continue
-                seen.add(T)
-                cost_T = instance.cost_of(T)
-                if cost_T > instance.budget:
-                    continue
-                supporters = frozenset(
-                    j for j in range(n)
-                    if overlap[j] < size and T <= profile.ballots[j])
-                if not supporters:
-                    continue
-                if share_unit * len(supporters) >= cost_T:
-                    return EjrVerdict("violated", t_cap,
-                                      CohesiveWitness(supporters, T))
+    witness = _search(instance, profile, funded, t_cap)
+    if witness is not None:
+        return EjrVerdict("violated", t_cap, witness)
     status = "satisfied" if t_cap >= max_t_cap(instance) else "unknown"
     return EjrVerdict(status, t_cap)
+
+
+def _search(instance: PBInstance, profile: ApprovalProfile,
+            funded: frozenset, t_cap: int) -> Optional[CohesiveWitness]:
+    """Depth-first search over T in project order, with voter bitsets."""
+    n = profile.n_voters
+    ballots, _ = group_ballots(profile)
+    depth = min(t_cap, max((len(b) for b in ballots), default=0))
+    if depth == 0:
+        return None
+    # voters sharing a ballot share a bitmask
+    group_of = {ballot: g for g, ballot in enumerate(ballots)}
+    members = [0] * len(ballots)
+    for i, ballot in enumerate(profile.ballots):
+        members[group_of[ballot]] |= 1 << i
+    # under[k]: voters with fewer than k funded approvals
+    under = [0] * (depth + 1)
+    approvers = {p.id: 0 for p in instance.projects}
+    for ballot, mask in zip(ballots, members):
+        for k in range(len(ballot & funded) + 1, depth + 1):
+            under[k] |= mask
+        for pid in ballot:
+            approvers[pid] |= mask
+
+    # integer money: scale costs and budget by their common denominator
+    scale = math.lcm(instance.budget.denominator,
+                     *(p.cost.denominator for p in instance.projects))
+    budget = int(instance.budget * scale)
+    items = []
+    for p in instance.projects:
+        cost = int(p.cost * scale)
+        bits = approvers[p.id] & under[depth]
+        if budget * bits.bit_count() >= n * cost:
+            items.append((p.id, cost, bits))
+
+    chosen: list[str] = []
+
+    def extend(start: int, bits: int, cost: int) -> Optional[CohesiveWitness]:
+        size = len(chosen) + 1
+        for j in range(start, len(items)):
+            pid, c, b = items[j]
+            c += cost
+            b &= bits
+            if budget * b.bit_count() < n * c:
+                continue  # no superset of T + pid is affordable to its group
+            supporters = b & under[size]
+            if budget * supporters.bit_count() >= n * c:
+                return CohesiveWitness(
+                    frozenset(i for i in range(n) if supporters >> i & 1),
+                    frozenset(chosen + [pid]))
+            if size < depth:
+                chosen.append(pid)
+                found = extend(j + 1, b, c)
+                chosen.pop()
+                if found is not None:
+                    return found
+        return None
+
+    return extend(0, under[depth], 0)
 
 
 class CappedSearchError(RuntimeError):

@@ -54,12 +54,24 @@ class PabulibFile:
         return dict(self.meta)
 
 
-def _decimal_fraction(text: str, line: int, what: str) -> Fraction:
+def _decimal_fraction(text: str, line: Optional[int], what: str) -> Fraction:
+    """An exact value written as a finite decimal, as `write_pb` writes it."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise PabulibParseError(line, f"malformed decimal {text!r} for {what}")
+    if "/" in text:
+        raise PabulibParseError(
+            line, f"{what} must be a finite decimal, got {text!r}")
     return value
+
+
+def _count(text: str, key: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PabulibParseError(
+            line, f"{key} must be an integer, got {text!r}") from None
 
 
 def _split_sections(text: str) -> dict[str, tuple[int, list[tuple[int, str]]]]:
@@ -106,7 +118,7 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
     sections = _split_sections(text)
 
     meta: list[tuple[str, str]] = []
-    seen_keys = set()
+    meta_line: dict[str, int] = {}
     for lineno, line in sections["META"][1]:
         parts = line.split(";")
         if len(parts) != 2:
@@ -114,9 +126,9 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
         key, value = parts[0].strip(), parts[1].strip()
         if key == "key" and value == "value" and not meta:
             continue  # optional header row
-        if key in seen_keys:
+        if key in meta_line:
             raise PabulibParseError(lineno, f"duplicate meta key {key!r}")
-        seen_keys.add(key)
+        meta_line[key] = lineno
         meta.append((key, value))
     meta_map = dict(meta)
 
@@ -128,9 +140,12 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
         raise PabulibParseError(
             None, f"unsupported vote_type {vote_type!r}: only approval "
             "ballots are supported")
-    budget = _decimal_fraction(meta_map["budget"], None, "budget")
+    budget = _decimal_fraction(meta_map["budget"], meta_line["budget"],
+                               "budget")
     if budget <= 0:
         raise PabulibParseError(None, f"budget must be positive, got {budget}")
+    num_projects, num_votes = (_count(meta_map[key], key, meta_line[key])
+                               for key in ("num_projects", "num_votes"))
 
     pcols, prows = _parse_table(sections["PROJECTS"][1], "PROJECTS")
     for needed in ("project_id", "cost"):
@@ -145,10 +160,13 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
             raise PabulibParseError(
                 lineno, f"project {pid!r} has non-positive cost {cells[cost_col]}")
         projects.append(Project(pid, cost))
+    if not projects:
+        raise PabulibParseError(sections["PROJECTS"][0],
+                                "PROJECTS has no project rows")
     known = {p.id for p in projects}
     if len(known) != len(projects):
         raise PabulibParseError(None, "duplicate project ids in PROJECTS")
-    if int(meta_map["num_projects"]) != len(projects):
+    if num_projects != len(projects):
         raise PabulibParseError(
             None, f"num_projects={meta_map['num_projects']} but "
             f"PROJECTS has {len(projects)} rows")
@@ -167,7 +185,7 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
                 raise PabulibParseError(
                     lineno, f"vote references unknown project id {pid!r}")
         ballots.append(frozenset(ids))
-    if int(meta_map["num_votes"]) != len(ballots):
+    if num_votes != len(ballots):
         raise PabulibParseError(
             None, f"num_votes={meta_map['num_votes']} but VOTES has "
             f"{len(ballots)} rows")

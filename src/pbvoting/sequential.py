@@ -5,16 +5,64 @@ rule (`rule_x`) built on a per-project payment-threshold computation
 (`q_value`), and two budget-exhausting completions: a vanishing-uniform-gain
 phase (`rule_x_eps`) and an exact harmonic-score run on the residual budget
 (`rule_x_pav`).
+
+The rules run over weighted ballot groups (`core.group_ballots`), and each
+project only looks at the groups that have a positive utility for it.  The
+grouping is exact: voters with identical ballots are charged identically in
+every round, so their budgets stay identical, and a group of w voters with
+budget b each pays w times a voter's charge.  Per-voter payment records in an
+`EqualSharesTrace` are expanded from the groups only when a trace is asked
+for.
+
+The payment threshold q of a project is the least q with
+sum_g w_g * min(b_g, u_g * q) >= cost.  It is found with one scan over the
+groups sorted by the breakpoint b_g / u_g: a group whose breakpoint lies
+below the rate that the still-uncapped groups would need pays its whole
+budget and drops out; the first group that does not drop out fixes q, since
+every later group has a breakpoint at least as large and is not capped at q
+either.  `seq_pav` sums a project's harmonic gain w_g / (k_g + 1) over its
+approver groups, adding up the weights of groups with equal k_g first.
+
+The equal-shares loop evaluates projects lazily.  Budgets only fall, so a
+project's payment threshold only rises (or the project becomes unaffordable
+for good), and the (q, cost, id) key it had when last evaluated is a lower
+bound on its current key.  Keys sit in a heap; the top key is evaluated
+afresh, and a project is funded once its fresh key is still the smallest
+stored key.  This funds exactly the project with minimal q, then the cheaper
+one, then the smaller id, as a full scan of all projects would.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import ApprovalProfile, PBInstance, pav_score
+from .core import ApprovalProfile, PBInstance, group_ballots
 from .exact import SearchBudget, TieBreakPolicy, solve_pav
+
+
+def _exact_order(group):
+    # float() of a Fraction is correctly rounded, hence monotone: it orders
+    # distinct floats exactly, and equal floats fall back to the Fraction
+    return float(group[0]), group[0]
+
+
+def _threshold(cost: Fraction, groups) -> Optional[Fraction]:
+    """Least q with sum(min(money, weight_util * q)) >= cost, else None.
+
+    `groups` holds (breakpoint b/u, money w*b, utility w*u) triples with a
+    positive utility.  If every group is capped, their money falls short.
+    """
+    util = sum(g[2] for g in groups)
+    leftover = Fraction(cost)
+    for breakpoint, money, weight_util in sorted(groups, key=_exact_order):
+        if leftover <= breakpoint * util:
+            return leftover / util
+        leftover -= money
+        util -= weight_util
+    return None
 
 
 def q_value(cost: Fraction, budgets: Sequence[Fraction],
@@ -23,31 +71,15 @@ def q_value(cost: Fraction, budgets: Sequence[Fraction],
 
     A project is affordable at rate q when sum_i min(b_i, u_i * q) covers its
     cost.  Returns None when even the full remaining money of the interested
-    voters cannot cover the cost.  Computed by iteratively capping voters
-    whose budget is below their share and re-splitting the leftover.
+    voters cannot cover the cost.  Each voter is a group of weight 1 in the
+    breakpoint scan that the equal-shares loop runs.
     """
     if cost <= 0:
         raise ValueError("cost must be positive")
     if len(budgets) != len(utilities):
         raise ValueError("budgets and utilities must align")
-    if sum(b for b, u in zip(budgets, utilities) if u > 0) < cost:
-        return None
-    current_utility = sum(Fraction(u) for u in utilities)
-    cost_leftover = Fraction(cost)
-    removed = [False] * len(budgets)
-    while True:
-        current_q = cost_leftover / current_utility
-        voter_removed = False
-        for i, (b, u) in enumerate(zip(budgets, utilities)):
-            if removed[i] or u == 0:
-                continue
-            if current_q * u > b:
-                current_utility -= u
-                cost_leftover -= b
-                removed[i] = True
-                voter_removed = True
-        if not voter_removed:
-            return cost_leftover / current_utility
+    return _threshold(cost, [(Fraction(b) / u, b, u)
+                             for b, u in zip(budgets, utilities) if u > 0])
 
 
 @dataclass
@@ -59,37 +91,78 @@ class EqualSharesTrace:
     final_budgets: list[Fraction] = field(default_factory=list)
 
 
-def _equal_shares_loop(instance: PBInstance, budgets: list[Fraction],
-                       utilities: dict[str, list[Fraction | int]],
-                       already_funded: set[str],
-                       trace: Optional[EqualSharesTrace]) -> list[str]:
-    """Core loop: repeatedly fund the project with minimal finite q.
+class _Groups:
+    """Ballot groups with one shared per-voter budget each."""
 
-    Ties on q go to the cheaper project, then to the lexicographically
-    smaller id.  `budgets` is mutated in place.
-    """
-    funded: list[str] = []
-    remaining = {p.id for p in instance.projects} - already_funded
-    while True:
-        best = None
-        for pid in sorted(remaining, key=lambda p: (instance.cost(p), p)):
-            q = q_value(instance.cost(pid), budgets, utilities[pid])
-            if q is not None and (best is None or q < best[0]):
-                best = (q, pid)
-        if best is None:
-            break
-        q, pid = best
-        charges = [min(b, u * q) for b, u in zip(budgets, utilities[pid])]
-        for i, c in enumerate(charges):
-            budgets[i] -= c
-        funded.append(pid)
-        remaining.discard(pid)
+    def __init__(self, instance: PBInstance, profile: ApprovalProfile):
+        profile.validate(instance)
+        n = profile.n_voters
+        if n == 0:
+            raise ValueError("equal shares needs at least one voter")
+        self.instance = instance
+        self.profile = profile
+        self.ballots, self.weights = group_ballots(profile)
+        self.budgets = [instance.budget / n] * len(self.ballots)
+        self.money = [b * w for b, w in zip(self.budgets, self.weights)]
+
+    def utilities(self, outside) -> dict[str, list[tuple[int, Fraction | int]]]:
+        """Each project's (group, utility) pairs with a positive utility:
+        1 for approvers, `outside` for everyone else."""
+        return {p.id: [(g, 1 if p.id in ballot else outside)
+                       for g, ballot in enumerate(self.ballots)
+                       if outside or p.id in ballot]
+                for p in self.instance.projects}
+
+    def _q(self, pid: str, members) -> Optional[Fraction]:
+        budgets, money, weights = self.budgets, self.money, self.weights
+        return _threshold(self.instance.cost(pid), [
+            (budgets[g], money[g], weights[g]) if u == 1
+            else (budgets[g] / u, money[g], u * weights[g])
+            for g, u in members if budgets[g]])
+
+    def fund(self, members: dict[str, list[tuple[int, Fraction | int]]],
+             candidates, trace: Optional[EqualSharesTrace]) -> list[str]:
+        """Repeatedly fund the candidate with minimal finite q.
+
+        Ties on q go to the cheaper project, then to the lexicographically
+        smaller id.  Group budgets are charged in place.
+        """
+        cost = self.instance.cost
+        heap = []
+        for pid in candidates:
+            q = self._q(pid, members[pid])
+            if q is not None:
+                heap.append((q, cost(pid), pid, 0))
+        heapq.heapify(heap)
+        funded: list[str] = []
+        while heap:
+            q, c, pid, stamp = heapq.heappop(heap)
+            if stamp != len(funded):
+                # evaluated before the last funding, so only a lower bound;
+                # a project that became unaffordable stays so and is dropped
+                q = self._q(pid, members[pid])
+                if q is not None:
+                    heapq.heappush(heap, (q, c, pid, len(funded)))
+                continue
+            paid = {}
+            for g, u in members[pid]:
+                charge = min(self.budgets[g], u * q)
+                if charge:
+                    self.budgets[g] -= charge
+                    self.money[g] = self.budgets[g] * self.weights[g]
+                    paid[g] = charge
+            funded.append(pid)
+            if trace is not None:
+                trace.funded.append(pid)
+                trace.charges[pid] = self._per_voter(
+                    [paid.get(g, Fraction(0)) for g in range(len(self.ballots))])
         if trace is not None:
-            trace.funded.append(pid)
-            trace.charges[pid] = charges
-    if trace is not None:
-        trace.final_budgets = list(budgets)
-    return funded
+            trace.final_budgets = self._per_voter(self.budgets)
+        return funded
+
+    def _per_voter(self, values: list) -> list:
+        index = {ballot: g for g, ballot in enumerate(self.ballots)}
+        return [values[index[ballot]] for ballot in self.profile.ballots]
 
 
 def rule_x(instance: PBInstance, profile: ApprovalProfile,
@@ -100,17 +173,9 @@ def rule_x(instance: PBInstance, profile: ApprovalProfile,
     in order of their minimal payment rate q, each approver paying
     min(remaining budget, q) until no project remains affordable.
     """
-    profile.validate(instance)
-    n = profile.n_voters
-    if n == 0:
-        raise ValueError("equal shares needs at least one voter")
-    budgets = [instance.budget / n] * n
-    utilities = {
-        p.id: [1 if p.id in ballot else 0 for ballot in profile.ballots]
-        for p in instance.projects
-    }
-    funded = _equal_shares_loop(instance, budgets, utilities, set(), trace)
-    return frozenset(funded)
+    groups = _Groups(instance, profile)
+    return frozenset(groups.fund(groups.utilities(0), instance.project_ids,
+                                 trace))
 
 
 def rule_x_eps(instance: PBInstance, profile: ApprovalProfile,
@@ -125,34 +190,19 @@ def rule_x_eps(instance: PBInstance, profile: ApprovalProfile,
     non-approvers have the given small utility; it exists to cross-check the
     limit semantics and should agree for sufficiently small values.
     """
-    profile.validate(instance)
-    n = profile.n_voters
-    if n == 0:
-        raise ValueError("equal shares needs at least one voter")
     if mode == "limit":
-        t = trace if trace is not None else EqualSharesTrace()
-        budgets = [instance.budget / n] * n
-        utilities = {
-            p.id: [1 if p.id in ballot else 0 for ballot in profile.ballots]
-            for p in instance.projects
-        }
-        funded = _equal_shares_loop(instance, budgets, utilities, set(), t)
-        ones = {p.id: [1] * n for p in instance.projects}
-        extra = _equal_shares_loop(instance, budgets, ones, set(funded), t)
-        if trace is not None:
-            trace.final_budgets = list(budgets)
+        groups = _Groups(instance, profile)
+        funded = groups.fund(groups.utilities(0), instance.project_ids, trace)
+        rest = [pid for pid in instance.project_ids if pid not in funded]
+        extra = groups.fund(groups.utilities(1), rest, trace)
         return frozenset(funded) | frozenset(extra)
     if mode.startswith("fixed:"):
         eps = Fraction(mode.split(":", 1)[1])
         if not 0 < eps < 1:
             raise ValueError("fixed epsilon must lie in (0, 1)")
-        budgets = [instance.budget / n] * n
-        utilities = {
-            p.id: [1 if p.id in ballot else eps for ballot in profile.ballots]
-            for p in instance.projects
-        }
-        return frozenset(
-            _equal_shares_loop(instance, budgets, utilities, set(), trace))
+        groups = _Groups(instance, profile)
+        return frozenset(groups.fund(groups.utilities(eps),
+                                     instance.project_ids, trace))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -188,8 +238,13 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
     import random as _random
     rng = (_random.Random(tiebreak.seed)
            if tiebreak.variant == "random" else None)
+    ballots, weights = group_ballots(profile)
+    approvers: dict[str, list[int]] = {p.id: [] for p in instance.projects}
+    for g, ballot in enumerate(ballots):
+        for pid in ballot:
+            approvers[pid].append(g)
+    counts = [0] * len(ballots)  # funded approved projects per group
     chosen: set[str] = set()
-    counts = [len(ballot & chosen) for ballot in profile.ballots]
     spent = Fraction(0)
     while True:
         residual = instance.budget - spent
@@ -198,9 +253,12 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
         for p in instance.projects:
             if p.id in chosen or p.cost > residual:
                 continue
-            gain = sum(Fraction(1, counts[i] + 1)
-                       for i, ballot in enumerate(profile.ballots)
-                       if p.id in ballot)
+            # voters with k funded approvals gain 1/(k+1) each
+            weight_at: dict[int, int] = {}
+            for g in approvers[p.id]:
+                weight_at[counts[g]] = weight_at.get(counts[g], 0) + weights[g]
+            gain = sum((Fraction(w, k + 1) for k, w in weight_at.items()),
+                       Fraction(0))
             if best_gain is None or gain > best_gain:
                 best_gain = gain
                 candidates = [p]
@@ -211,9 +269,8 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
         pick = _pick_step(candidates, tiebreak, rng)
         chosen.add(pick.id)
         spent += pick.cost
-        for i, ballot in enumerate(profile.ballots):
-            if pick.id in ballot:
-                counts[i] += 1
+        for g in approvers[pick.id]:
+            counts[g] += 1
 
 
 def _pick_step(candidates, tiebreak: TieBreakPolicy, rng):

@@ -12,9 +12,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from pbvoting.core import ApprovalProfile, PBInstance, Project, harmonic
 from pbvoting.instances import city, tiny
+
+# Property tests draw the same examples on every run and carry no deadline,
+# so a slow or busy machine can neither change nor fail their outcome.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -95,12 +102,13 @@ def oracle_search(instance: PBInstance, profile: ApprovalProfile,
 # brute-force fairness oracle: scan every jointly-approved project set
 
 def oracle_ejr_violated(instance: PBInstance, profile: ApprovalProfile,
-                        bundle: frozenset) -> bool:
+                        bundle: frozenset, t_cap: int | None = None) -> bool:
     """True iff some cohesive group is under-served by the bundle.
 
     For any violating (S, T) the group of *all* under-represented supporters
     of T also violates, so scanning each T with that canonical group decides
-    the property.  T ranges over all affordable project subsets.
+    the property.  T ranges over all affordable project subsets, of at most
+    `t_cap` projects when a cap is given.
     """
     ids = list(instance.project_ids)
     m = len(ids)
@@ -112,6 +120,8 @@ def oracle_ejr_violated(instance: PBInstance, profile: ApprovalProfile,
     for mask in range(1, 1 << m):
         T = frozenset(ids[j] for j in range(m) if mask & (1 << j))
         if instance.cost_of(T) > instance.budget:
+            continue
+        if t_cap is not None and len(T) > t_cap:
             continue
         supporters = [i for i in range(n)
                       if T <= profile.ballots[i] and overlap[i] < len(T)]

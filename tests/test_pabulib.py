@@ -145,3 +145,30 @@ def test_roundtrip_on_random_instances():
         inst, prof = random_instance(seed, max_projects=10)
         inst2, prof2, _ = parse_pb(write_pb(inst, prof))
         assert inst2 == inst and prof2 == prof, seed
+
+
+@pytest.mark.parametrize("key", ["num_projects", "num_votes"])
+def test_non_integer_count_names_key_and_line(key):
+    bad = MINIMAL.replace(f"{key};1", f"{key};one")
+    line = MINIMAL.splitlines().index(f"{key};1") + 1
+    with pytest.raises(PabulibParseError, match=rf"line {line}: {key}.*'one'"):
+        parse_pb(bad)
+
+
+def test_zero_projects_is_a_parse_error():
+    text = ("META\nbudget;1000\nnum_projects;0\nnum_votes;1\n"
+            "PROJECTS\nproject_id;cost\nVOTES\nvoter_id;vote\nv1;\n")
+    with pytest.raises(PabulibParseError, match="line 5: PROJECTS has no"):
+        parse_pb(text)
+
+
+def test_budget_must_be_a_finite_decimal():
+    bad = MINIMAL.replace("budget;1000", "budget;1/3")
+    with pytest.raises(PabulibParseError, match="line 2: budget.*finite"):
+        parse_pb(bad)
+
+
+def test_cost_must_be_a_finite_decimal():
+    bad = MINIMAL.replace("p;100", "p;1/3")
+    with pytest.raises(PabulibParseError, match=r"line 7: project 'p'.*finite"):
+        parse_pb(bad)
