@@ -2,7 +2,12 @@
 
 A run is described by an :class:`ExperimentSpec`; :func:`run_experiment`
 executes every instance x rule pair and returns one :class:`ResultRow` per
-pair.  Ratios are exact rationals serialized as 6-decimal strings, so a rerun
+pair.  The ratios divide by the instance's exact sw and rp optima.  An AV
+bundle attains the sw optimum and a CC bundle the rp optimum, so these are
+read off the AV and CC rows when the spec has those rules; `optimum_value`
+searches only for an optimum whose rule is absent or failed.
+
+Ratios are exact rationals serialized as 6-decimal strings, so a rerun
 with the same spec and seed produces byte-identical CSV output.  Wall-clock
 times are recorded only when explicitly requested, because timing noise would
 break that byte-level determinism.
@@ -177,14 +182,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     budget = SearchBudget(spec.max_nodes)
     rows: list[ResultRow] = []
     for instance_id, inst, prof in instances:
-        try:
-            opt_sw = optimum_value("sw", inst, prof, budget)
-            opt_rp = optimum_value("rp", inst, prof, budget)
-        except SearchBudgetExceeded as e:
-            for rule in spec.rules:
-                rows.append(ResultRow(instance_id, rule, None, None, None,
-                                      None, "", None, f"optima: {e}"))
-            continue
+        outcomes = {}  # rule -> (bundle or None, wall_ms, failure reason)
         for rule in spec.rules:
             t0 = time.perf_counter()
             try:
@@ -192,11 +190,29 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                                   _policy(spec, instance_id, rule), budget,
                                   spec.rx_eps_mode)
             except SearchBudgetExceeded as e:
-                rows.append(ResultRow(instance_id, rule, None, None, None,
-                                      None, "", None, str(e)))
+                outcomes[rule] = (None, None, str(e))
                 continue
             ms = (int(round((time.perf_counter() - t0) * 1000))
                   if spec.record_time else None)
+            outcomes[rule] = (bundle, ms, "")
+        # an AV bundle attains the sw optimum and a CC bundle the rp one
+        av, cc = outcomes.get("AV", (None,))[0], outcomes.get("CC", (None,))[0]
+        try:
+            opt_sw = (social_welfare(prof, av) if av is not None
+                      else optimum_value("sw", inst, prof, budget))
+            opt_rp = (representation(prof, cc) if cc is not None
+                      else optimum_value("rp", inst, prof, budget))
+        except SearchBudgetExceeded as e:
+            for rule in spec.rules:
+                rows.append(ResultRow(instance_id, rule, None, None, None,
+                                      None, "", None, f"optima: {e}"))
+            continue
+        for rule in spec.rules:
+            bundle, ms, reason = outcomes[rule]
+            if bundle is None:
+                rows.append(ResultRow(instance_id, rule, None, None, None,
+                                      None, "", None, reason))
+                continue
             sw = social_welfare(prof, bundle)
             rp = representation(prof, bundle)
             verdict = find_ejr_violation(inst, prof, bundle, spec.t_cap)

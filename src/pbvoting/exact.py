@@ -11,19 +11,41 @@ bundles attaining the optimal objective to which no further project can be
 added within the budget.  Dropping non-maximal optima loses nothing (the
 objectives are monotone, so every optimum extends to a maximal one with the
 same objective value) and matches how budget-exhausting outcomes are scored.
-The tie-break policy then selects a single bundle from that set.
+The tie-break policy then selects a single bundle from that set, in a second
+search that streams over the set without storing it.
+
+The search runs on integers only.  Costs and the budget are multiplied by D,
+the least common multiple of their denominators (D = 100 for cent-valued
+data).  Harmonic scores are multiplied by L = lcm(1..K), where K is the
+longest ballot: a group of w voters with c funded approvals gains
+w * (L // (c+1)) from one more, and L * H(k) comes from a precomputed table.
+`optimum_value("pav")` divides by L again, so values and bundles at the API
+are the exact ones.
+
+Because every objective is then an integer, the floor of the
+fractional-knapsack bound is still an upper bound on every completion of a
+branch: the partly taken item contributes v*r // c.  The optimum phase prunes
+a branch when floor(bound) <= best, which cuts more than the unfloored test.
+The tie phase prunes when floor(bound) < opt, which for an integer opt holds
+exactly when bound < opt, so the tie set is the one the unfloored bound would
+give.  Knapsack items are ordered by exact density (v times lcm(costs)/c, an
+integer); a rounded order could take a worse item first and make the bound
+inadmissible.
+
+Each undecided project's marginal gain is kept up to date as projects are
+funded and taken back, so a bound is one pass over the undecided projects
+(pav adds a pass over their approvers for its per-group harmonic cap).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import ApprovalProfile, PBInstance, group_ballots
-
-TIE_CAP = 10_000  # incumbent-equal bundles kept before tie-breaking
 
 _VARIANTS = ("worst-sw", "worst-rp", "random", "lex-by-id", "cheapest-first")
 
@@ -73,20 +95,19 @@ class SearchBudget:
             raise ValueError("max_nodes must be positive")
 
 
-class _Stop(Exception):
-    pass
-
-
 class _Search:
-    """One branch-and-bound context; the node budget spans all phases."""
+    """One branch-and-bound context; the node budget spans both phases.
+
+    All search state is integer: costs, the budget and the residual are in
+    units of 1/D, harmonic scores in units of 1/L (see the module docstring).
+    """
 
     def __init__(self, instance: PBInstance, profile: ApprovalProfile,
                  objective: str, search_budget: SearchBudget):
         assert objective in ("sw", "rp", "pav")
         profile.validate(instance)
         self.objective = objective
-        self.instance = instance
-        self.profile = profile
+        self.phase = "optimum"
         self.max_nodes = search_budget.max_nodes
         self.nodes = 0
 
@@ -98,20 +119,42 @@ class _Search:
                 static_val[pid] += w
 
         # fixed order: static approval density desc, then cost asc, then id
-        def density(p):
-            return Fraction(static_val[p.id], 1) / p.cost
-
-        projects = sorted(instance.projects,
-                          key=lambda p: (-density(p), p.cost, p.id))
+        projects = sorted(instance.projects, key=lambda p: (
+            -Fraction(static_val[p.id]) / p.cost, p.cost, p.id))
         self.ids = [p.id for p in projects]
-        self.costs = [p.cost for p in projects]
         self.m = len(projects)
+        unit = math.lcm(instance.budget.denominator,
+                        *(p.cost.denominator for p in projects))
+        self.budget = int(instance.budget * unit)
+        self.costs = [int(p.cost * unit) for p in projects]
+        # v * density_scale[j] orders items by v / cost exactly
+        common = math.lcm(*self.costs)
+        self.density_scale = [common // c for c in self.costs]
         idx_of = {pid: j for j, pid in enumerate(self.ids)}
+        self.approved = [sorted(idx_of[pid] for pid in ballot)
+                         for ballot in ballots]
         self.approvers: list[list[int]] = [[] for _ in range(self.m)]
-        for g, ballot in enumerate(ballots):
-            for pid in ballot:
-                self.approvers[idx_of[pid]].append(g)
-        self.static_val = [static_val[pid] for pid in self.ids]
+        for g, approved in enumerate(self.approved):
+            for j in approved:
+                self.approvers[j].append(g)
+
+        # gain[c]: what one voter with c funded approvals adds to the
+        # objective when one more of them is funded, and harm[k] what k
+        # funded approvals give a voter.  Harmonic scores are multiplied by
+        # scale = L = lcm(1..K), which makes gain[c] = L/(c+1) integral and
+        # harm[k] = L * H(k).
+        longest = max(map(len, ballots), default=0)
+        self.scale = 1
+        if objective == "sw":
+            self.gain = [1] * (longest + 1)
+        elif objective == "rp":
+            self.gain = [1] + [0] * longest
+        else:
+            self.scale = math.lcm(*range(1, longest + 1))
+            self.gain = [self.scale // (c + 1) for c in range(longest + 1)]
+        self.harm = [0]
+        for g in self.gain:
+            self.harm.append(self.harm[-1] + g)
 
         # symmetry breaking: projects with identical cost and approver set
         # are interchangeable, so within each class only canonical prefixes
@@ -124,18 +167,16 @@ class _Search:
                 self.prev_in_class[j] = last_seen[key]
             last_seen[key] = j
 
-        # mutable search state
+        # mutable search state; value[j] is what funding project j alone
+        # would add to the objective now
         self.counts = [0] * len(ballots)
         self.chosen = [False] * self.m
+        self.static = [static_val[pid] for pid in self.ids]
+        self.value = [v * self.gain[0] for v in self.static]
+        self.score = 0
         self.sw = 0
         self.rp = 0
-        self.pav = Fraction(0)
-        self._harm = [Fraction(0)]  # memoized harmonic numbers
-
-    def _H(self, k: int) -> Fraction:
-        while len(self._harm) <= k:
-            self._harm.append(self._harm[-1] + Fraction(1, len(self._harm)))
-        return self._harm[k]
+        self.cut = 0  # a branch whose bound is below this is pruned
 
     # -- state -------------------------------------------------------------
 
@@ -143,87 +184,82 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise SearchBudgetExceeded(
-                f"exceeded search budget of {self.max_nodes} nodes")
+                f"exceeded search budget of {self.max_nodes} nodes "
+                f"in the {self.phase} phase of the {self.objective} search")
 
-    def _apply(self, j: int):
-        self.chosen[j] = True
+    def _move(self, j: int, sign: int):
+        """Fund project j (sign 1) or take it back (sign -1)."""
+        adding = sign > 0
+        self.chosen[j] = adding
+        counts, weights, gain, value = (self.counts, self.weights, self.gain,
+                                        self.value)
+        covered = score = 0
         for g in self.approvers[j]:
-            self.counts[g] += 1
-            w = self.weights[g]
-            self.sw += w
-            if self.counts[g] == 1:
-                self.rp += w
-            if self.objective == "pav":
-                self.pav += Fraction(w, self.counts[g])
+            c = counts[g] - (not adding)  # the count without project j
+            counts[g] = c + adding
+            w = weights[g]
+            if c == 0:
+                covered += w
+            score += w * gain[c]
+            step = gain[c + 1] - gain[c]
+            if step:
+                step *= sign * w
+                for k in self.approved[g]:
+                    value[k] += step
+        self.sw += sign * self.static[j]
+        self.rp += sign * covered
+        self.score += sign * score
 
-    def _undo(self, j: int):
-        self.chosen[j] = False
-        for g in self.approvers[j]:
-            w = self.weights[g]
-            if self.objective == "pav":
-                self.pav -= Fraction(w, self.counts[g])
-            if self.counts[g] == 1:
-                self.rp -= w
-            self.sw -= w
-            self.counts[g] -= 1
+    def _bound(self, idx: int, residual: int) -> int:
+        """Floor of the fractional-knapsack bound over projects idx.. .
 
-    def _score(self):
+        Returns early with any value below `self.cut` once the budget-free
+        relaxation (for pav, the per-group harmonic cap) is below it.
+        """
+        costs, value = self.costs, self.value
         if self.objective == "sw":
-            return self.sw
-        if self.objective == "rp":
-            return self.rp
-        return self.pav
-
-    def _optimistic(self, j: int):
-        if self.objective == "sw":
-            return self.static_val[j]
-        if self.objective == "rp":
-            return sum(self.weights[g] for g in self.approvers[j]
-                       if self.counts[g] == 0)
-        return sum((Fraction(self.weights[g], self.counts[g] + 1)
-                    for g in self.approvers[j]), Fraction(0))
-
-    def _bound(self, idx: int, residual: Fraction):
-        score = self._score()
-        items = []
-        total = score
-        pav = self.objective == "pav"
-        avail = [0] * len(self.weights) if pav else None
-        for j in range(idx, self.m):
-            if self.costs[j] > residual:
-                continue
-            v = self._optimistic(j)
-            if v > 0:
-                items.append((v, self.costs[j]))
-                total += v
-            if pav:
-                for g in self.approvers[j]:
-                    avail[g] += 1
-        if pav:
-            # per-group harmonic cap: a group gaining a more approved projects
-            # gains at most w*(H(c+a) - H(c)); tighter than the per-item sum
-            # because later projects contribute diminishing increments
-            quick = score + sum(
-                (self.weights[g]
-                 * (self._H(self.counts[g] + a) - self._H(self.counts[g]))
-                 for g, a in enumerate(avail) if a), Fraction(0))
-        else:
-            quick = total  # budget-free relaxation, cheap to test first
-        if self._quick_prunes(quick):
-            return quick
-        items.sort(key=lambda vc: vc[0] / vc[1], reverse=True)
-        bound = score
-        r = residual
-        for v, c in items:
-            if c <= r:
-                bound += v
+            # values are static, and the project order is by static density
+            bound, r = self.score, residual
+            for j in range(idx, self.m):
+                c = costs[j]
+                if c > residual:
+                    continue
+                if c > r:
+                    return bound + value[j] * r // c
+                bound += value[j]
                 r -= c
-            else:
-                bound += v * (r / c)
+            return bound
+        items = [(value[j] * self.density_scale[j], value[j], costs[j])
+                 for j in range(idx, self.m)
+                 if costs[j] <= residual and value[j]]
+        if self.objective == "rp":
+            quick = self.score + sum(item[1] for item in items)
+        else:
+            # per-group harmonic cap: a group gaining a more approved
+            # projects gains at most w*L*(H(c+a) - H(c)); tighter than the
+            # per-item sum because later projects add diminishing increments
+            avail: dict[int, int] = {}
+            for j in range(idx, self.m):
+                if costs[j] <= residual:
+                    for g in self.approvers[j]:
+                        avail[g] = avail.get(g, 0) + 1
+            harm, counts, weights = self.harm, self.counts, self.weights
+            quick = self.score + sum(
+                weights[g] * (harm[counts[g] + a] - harm[counts[g]])
+                for g, a in avail.items())
+        if quick < self.cut:
+            return quick
+        items.sort(reverse=True)
+        bound, r = self.score, residual
+        for _, v, c in items:
+            if c > r:
+                bound += v * r // c
                 break
-        return min(bound, quick) if pav else bound
+            bound += v
+            r -= c
+        return min(bound, quick)
 
-    def _is_maximal(self, residual: Fraction) -> bool:
+    def _is_maximal(self, residual: int) -> bool:
         for j in range(self.m):
             if not self.chosen[j] and self.costs[j] <= residual:
                 return False
@@ -231,123 +267,92 @@ class _Search:
 
     # -- phases ------------------------------------------------------------
 
-    def optimum(self):
-        """Best attainable objective value (first phase, aggressive pruning)."""
-        self._best = self._score()
-        self._quick_prunes = lambda b: b <= self._best
+    def optimum(self) -> int:
+        """Best attainable objective value (first phase).
 
-        def leaf(residual):
-            s = self._score()
-            if s > self._best:
-                self._best = s
-
-        def prune(bound):
-            return bound <= self._best
-
-        self._dfs(0, self.instance.budget, prune, leaf)
-        return self._best
-
-    def collect(self, opt, cap: int = TIE_CAP) -> list[frozenset]:
-        """All maximal optimal bundles, up to `cap`."""
-        found: list[frozenset] = []
-        self._quick_prunes = lambda b: b < opt
-
-        def leaf(residual):
-            if self._score() == opt and self._is_maximal(residual):
-                found.append(frozenset(self.ids[j] for j in range(self.m)
-                                       if self.chosen[j]))
-                if len(found) >= cap:
-                    raise _Stop
-
-        def prune(bound):
-            return bound < opt
-
-        try:
-            self._dfs(0, self.instance.budget, prune, leaf)
-        except _Stop:
-            pass
-        return found
-
-    def collect_min_secondary(self, opt, secondary: str,
-                              cap: int = TIE_CAP) -> list[frozenset]:
-        """Maximal optimal bundles minimizing a secondary score (sw or rp).
-
-        Secondary scores are monotone under adding projects, so a branch whose
-        partial secondary already exceeds the best known can be cut.
+        A branch is pruned when its bound does not exceed the incumbent.
         """
-        assert secondary in ("sw", "rp")
-        found: list[frozenset] = []
-        best_sec: list[Optional[int]] = [None]
-
-        def sec():
-            return self.sw if secondary == "sw" else self.rp
-
-        self._quick_prunes = lambda b: b < opt
+        best = self.score
+        self.cut = best + 1
 
         def leaf(residual):
-            if self._score() != opt or not self._is_maximal(residual):
+            nonlocal best
+            if self.score > best:
+                best = self.score
+                self.cut = best + 1
+
+        self._dfs(0, self.budget, leaf, None)
+        return best
+
+    def select(self, opt: int, policy: TieBreakPolicy) -> frozenset:
+        """The policy's pick among the maximal bundles of objective `opt`.
+
+        Streams over the tie set without storing it.  lex-by-id,
+        cheapest-first, worst-sw and worst-rp keep the least (secondary key,
+        sorted ids) seen; worst-sw and worst-rp also cut branches whose
+        partial secondary score already exceeds the best, as both scores
+        only grow when projects are added.  random keeps one bundle by
+        reservoir sampling, which is uniform over the whole tie set.
+        """
+        self.phase = "ties"
+        self.cut = opt
+        variant = policy.variant
+        rng = random.Random(policy.seed) if variant == "random" else None
+        secondary = {"worst-sw": "sw", "worst-rp": "rp"}.get(variant)
+        best: Optional[tuple] = None
+        seen = 0
+
+        def leaf(residual):
+            nonlocal best, seen
+            if self.score != opt or not self._is_maximal(residual):
                 return
-            s = sec()
-            if best_sec[0] is None or s < best_sec[0]:
-                best_sec[0] = s
-                found.clear()
-            if s == best_sec[0] and len(found) < cap:
-                found.append(frozenset(self.ids[j] for j in range(self.m)
-                                       if self.chosen[j]))
+            ids = tuple(sorted(self.ids[j] for j in range(self.m)
+                               if self.chosen[j]))
+            if rng is not None:
+                seen += 1
+                if rng.randrange(seen) == 0:
+                    best = (ids,)
+                return
+            if secondary is not None:
+                key = (getattr(self, secondary), ids)
+            elif variant == "cheapest-first":
+                key = (self.budget - residual, ids)
+            else:
+                key = (ids,)
+            if best is None or key < best:
+                best = key
 
-        def prune(bound):
-            if bound < opt:
-                return True
-            return best_sec[0] is not None and sec() > best_sec[0]
+        def exceeds():
+            return best is not None and getattr(self, secondary) > best[0]
 
-        self._dfs(0, self.instance.budget, prune, leaf)
-        return found
+        self._dfs(0, self.budget, leaf, exceeds if secondary else None)
+        assert best is not None, "an optimum always has a maximal extension"
+        return frozenset(best[-1])
 
-    def _dfs(self, idx: int, residual: Fraction,
-             prune: Callable, leaf: Callable):
+    def _dfs(self, idx: int, residual: int, leaf: Callable,
+             exceeds: Optional[Callable]):
         self._tick()
         while idx < self.m and self.costs[idx] > residual:
             idx += 1  # forced exclusion: project no longer affordable
         if idx == self.m:
             leaf(residual)
             return
-        if prune(self._bound(idx, residual)):
+        if exceeds is not None and exceeds():
+            return
+        if self._bound(idx, residual) < self.cut:
             return
         prev = self.prev_in_class[idx]
         if prev is None or self.chosen[prev]:
-            self._apply(idx)
-            self._dfs(idx + 1, residual - self.costs[idx], prune, leaf)
-            self._undo(idx)
-        self._dfs(idx + 1, residual, prune, leaf)
-
-
-def _pick(optima: list[frozenset], policy: TieBreakPolicy,
-          instance: PBInstance, profile: ApprovalProfile) -> frozenset:
-    canon = sorted(optima, key=lambda b: tuple(sorted(b)))
-    if policy.variant == "lex-by-id":
-        return canon[0]
-    if policy.variant == "cheapest-first":
-        return min(canon, key=lambda b: (instance.cost_of(b), tuple(sorted(b))))
-    if policy.variant == "random":
-        return canon[random.Random(policy.seed).randrange(len(canon))]
-    from .core import representation, social_welfare
-    if policy.variant == "worst-sw":
-        return min(canon, key=lambda b: (social_welfare(profile, b),
-                                         tuple(sorted(b))))
-    return min(canon, key=lambda b: (representation(profile, b),
-                                     tuple(sorted(b))))
+            self._move(idx, 1)
+            self._dfs(idx + 1, residual - self.costs[idx], leaf, exceeds)
+            self._move(idx, -1)
+        self._dfs(idx + 1, residual, leaf, exceeds)
 
 
 def _solve(objective: str, instance: PBInstance, profile: ApprovalProfile,
            tiebreak: TieBreakPolicy, search_budget: SearchBudget) -> frozenset:
     search = _Search(instance, profile, objective, search_budget)
-    opt = search.optimum()
-    if tiebreak.variant in ("worst-sw", "worst-rp"):
-        secondary = "sw" if tiebreak.variant == "worst-sw" else "rp"
-        optima = search.collect_min_secondary(opt, secondary)
-    else:
-        optima = search.collect(opt)
-    return _pick(optima, tiebreak, instance, profile)
+    return search.select(search.optimum(), tiebreak)
 
 
 def solve_av(instance: PBInstance, profile: ApprovalProfile,
@@ -373,5 +378,10 @@ def solve_pav(instance: PBInstance, profile: ApprovalProfile,
 
 def optimum_value(objective: str, instance: PBInstance, profile: ApprovalProfile,
                   search_budget: SearchBudget = SearchBudget()):
-    """Optimal objective value only, without materializing the tie set."""
-    return _Search(instance, profile, objective, search_budget).optimum()
+    """Optimal objective value only, without searching the tie set.
+
+    sw and rp are ints; pav is an exact Fraction.
+    """
+    search = _Search(instance, profile, objective, search_budget)
+    value = search.optimum()
+    return Fraction(value, search.scale) if objective == "pav" else value

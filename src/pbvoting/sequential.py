@@ -29,7 +29,10 @@ for good), and the (q, cost, id) key it had when last evaluated is a lower
 bound on its current key.  Keys sit in a heap; the top key is evaluated
 afresh, and a project is funded once its fresh key is still the smallest
 stored key.  This funds exactly the project with minimal q, then the cheaper
-one, then the smaller id, as a full scan of all projects would.
+one, then the smaller id, as a full scan of all projects would.  In the
+exhaustion phase of `rule_x_eps` every voter has utility 1 for every
+project, so that order is simply (cost, id) and only funded projects need a
+breakpoint scan.
 """
 
 from __future__ import annotations
@@ -144,21 +147,46 @@ class _Groups:
                 if q is not None:
                     heapq.heappush(heap, (q, c, pid, len(funded)))
                 continue
-            paid = {}
-            for g, u in members[pid]:
-                charge = min(self.budgets[g], u * q)
-                if charge:
-                    self.budgets[g] -= charge
-                    self.money[g] = self.budgets[g] * self.weights[g]
-                    paid[g] = charge
+            self._charge(pid, members[pid], q, trace)
             funded.append(pid)
-            if trace is not None:
-                trace.funded.append(pid)
-                trace.charges[pid] = self._per_voter(
-                    [paid.get(g, Fraction(0)) for g in range(len(self.ballots))])
         if trace is not None:
             trace.final_budgets = self._per_voter(self.budgets)
         return funded
+
+    def exhaust(self, candidates, trace: Optional[EqualSharesTrace]
+                ) -> list[str]:
+        """`fund` with utility 1 for every voter and every candidate.
+
+        All candidates then share one set of groups, and q rises strictly
+        with cost, so the (q, cost, id) order is the (cost, id) order.  A
+        candidate is affordable while the voters' money covers its cost, and
+        one that does not fit stays unaffordable, since money only falls.
+        Only the funded candidates need their q, one breakpoint sort each.
+        """
+        everyone = [(g, 1) for g in range(len(self.ballots))]
+        funded: list[str] = []
+        for pid in sorted(candidates, key=lambda p: (self.instance.cost(p), p)):
+            if self.instance.cost(pid) > sum(self.money):
+                break
+            self._charge(pid, everyone, self._q(pid, everyone), trace)
+            funded.append(pid)
+        if trace is not None:
+            trace.final_budgets = self._per_voter(self.budgets)
+        return funded
+
+    def _charge(self, pid: str, members, q: Fraction,
+                trace: Optional[EqualSharesTrace]):
+        paid = {}
+        for g, u in members:
+            charge = min(self.budgets[g], u * q)
+            if charge:
+                self.budgets[g] -= charge
+                self.money[g] = self.budgets[g] * self.weights[g]
+                paid[g] = charge
+        if trace is not None:
+            trace.funded.append(pid)
+            trace.charges[pid] = self._per_voter(
+                [paid.get(g, Fraction(0)) for g in range(len(self.ballots))])
 
     def _per_voter(self, values: list) -> list:
         index = {ballot: g for g, ballot in enumerate(self.ballots)}
@@ -194,7 +222,7 @@ def rule_x_eps(instance: PBInstance, profile: ApprovalProfile,
         groups = _Groups(instance, profile)
         funded = groups.fund(groups.utilities(0), instance.project_ids, trace)
         rest = [pid for pid in instance.project_ids if pid not in funded]
-        extra = groups.fund(groups.utilities(1), rest, trace)
+        extra = groups.exhaust(rest, trace)
         return frozenset(funded) | frozenset(extra)
     if mode.startswith("fixed:"):
         eps = Fraction(mode.split(":", 1)[1])

@@ -42,6 +42,19 @@ def test_city_rows_reproduce_reference_ratios():
     assert by_rule["AV"].ejr == "violated"
 
 
+def test_optima_fall_back_to_a_search_when_their_rule_fails():
+    # city's CC takes 661 nodes for its optimum and 982 for its ties, so at
+    # 1000 nodes the CC row fails while the rp optimum is still found
+    full = run_experiment(_city_spec(rules=("AV", "CC", "RX")))
+    rows = run_experiment(_city_spec(rules=("AV", "CC", "RX"),
+                                     max_nodes=1000))
+    assert [r.reason for r in rows] == [
+        "", "exceeded search budget of 1000 nodes in the ties phase of "
+        "the rp search", ""]
+    assert rows[0] == full[0] and rows[2] == full[2]
+    assert rows[2].rep_ratio == Fraction(19, 20)
+
+
 def test_rows_and_csv_are_deterministic():
     a = rows_to_csv(run_experiment(_city_spec()))
     b = rows_to_csv(run_experiment(_city_spec()))

@@ -5,9 +5,11 @@ import pytest
 from conftest import oracle_search, random_instance
 from pbvoting.core import (ApprovalProfile, PBInstance, Project, pav_score,
                            representation, social_welfare)
+from pbvoting.datagen import generate
 from pbvoting.exact import (SearchBudget, SearchBudgetExceeded,
-                            TieBreakPolicy, optimum_value, solve_av,
+                            TieBreakPolicy, _Search, optimum_value, solve_av,
                             solve_cc, solve_pav)
+from pbvoting.instances import city
 
 
 def test_tiebreak_policy_validation():
@@ -73,9 +75,18 @@ def test_random_tiebreak_is_deterministic(city_pair):
 
 
 def test_search_budget_exceeded(city_pair):
+    # city's sw search takes 32 nodes for its optimum and 30 for its ties
     inst, prof = city_pair
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded, match=(
+            r"^exceeded search budget of 3 nodes "
+            r"in the optimum phase of the pav search$")):
         solve_pav(inst, prof, search_budget=SearchBudget(max_nodes=3))
+    with pytest.raises(SearchBudgetExceeded,
+                       match="in the optimum phase of the rp search$"):
+        optimum_value("rp", inst, prof, SearchBudget(max_nodes=40))
+    with pytest.raises(SearchBudgetExceeded,
+                       match="of 40 nodes in the ties phase of the sw search$"):
+        solve_av(inst, prof, search_budget=SearchBudget(max_nodes=40))
 
 
 def test_objectives_match_oracle_small_sample():
@@ -131,3 +142,48 @@ def test_interchangeable_projects_keep_canonical_ids():
     assert solve_av(inst, prof) == frozenset({"p0", "p1", "p2"})
     assert optimum_value("sw", inst, prof) == 9
     assert optimum_value("pav", inst, prof) == 3 * Fraction(11, 6)
+
+
+def test_lex_pick_searches_the_whole_tie_set():
+    # about 209,000 optimal bundles: every mix of k `a` and 10-2k `b`
+    # projects has welfare 10; the lex-least one funds five `a` projects
+    a = [Project(f"a{i:02d}", 2) for i in range(12)]
+    b = [Project(f"b{i:02d}", 1) for i in range(12)]
+    inst = PBInstance(tuple(a + b), 10)
+    prof = ApprovalProfile(tuple([frozenset({p.id}) for p in a for _ in "xy"]
+                                 + [frozenset({p.id}) for p in b]))
+    assert solve_av(inst, prof, TieBreakPolicy.lex()) == \
+        frozenset(f"a{i:02d}" for i in range(5))
+
+
+# Nodes per phase.  "before" is the optimum phase with the unfloored
+# Fraction bound that preceded integer units; the floored bound may only cut
+# more.  The tie phase must search exactly the same tree.
+#   (instance, objective): (before, optimum, ties for lex / worst-sw / worst-rp)
+PINNED_NODES = {
+    ("city", "sw"): (32, 32, (30, 30, 30)),
+    ("city", "rp"): (661, 661, (982, 930, 982)),
+    ("city", "pav"): (114, 114, (113, 113, 113)),
+    ("euclidean-desk-1", "sw"): (31, 31, (31, 31, 29)),
+    ("euclidean-desk-1", "rp"): (1087, 759, (1149, 1013, 1149)),
+    ("euclidean-desk-1", "pav"): (129, 129, (129, 129, 129)),
+    ("euclidean-desk-2", "sw"): (27, 23, (27, 27, 25)),
+    ("euclidean-desk-2", "rp"): (1325, 921, (1939, 1409, 1939)),
+    ("euclidean-desk-2", "pav"): (57, 57, (57, 57, 57)),
+}
+
+
+@pytest.mark.parametrize("name, objective", sorted(PINNED_NODES))
+def test_search_nodes_per_phase_are_pinned(name, objective):
+    before, optimum, ties = PINNED_NODES[name, objective]
+    assert optimum <= before
+    inst, prof = (city() if name == "city"
+                  else generate("euclidean-desk", int(name.rsplit("-", 1)[1])))
+    for policy, expected in zip((TieBreakPolicy.lex(),
+                                 TieBreakPolicy.worst_sw(),
+                                 TieBreakPolicy.worst_rp()), ties):
+        search = _Search(inst, prof, objective, SearchBudget())
+        opt = search.optimum()
+        assert search.nodes == optimum
+        search.select(opt, policy)
+        assert search.nodes - optimum == expected, policy.variant

@@ -1,5 +1,5 @@
-"""Property tests for the grouped equal-shares loop, grouped sPAV and the
-bitset EJR search.
+"""Property tests for the grouped equal-shares loop, grouped sPAV, the
+bitset EJR search and the integer branch and bound of the exact rules.
 
 Elections are small and drawn from a small pool of ballots, so duplicate
 ballots and empty ballots are common; both change how voters are grouped.
@@ -7,15 +7,19 @@ ballots and empty ballots are common; both change how voters are grouped.
 
 from __future__ import annotations
 
+import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_ejr_violated
-from pbvoting.core import ApprovalProfile, PBInstance, Project
-from pbvoting.exact import TieBreakPolicy
+from conftest import oracle_ejr_violated, oracle_search
+from pbvoting.core import (ApprovalProfile, PBInstance, Project, pav_score,
+                           representation, social_welfare)
+from pbvoting.exact import (SearchBudget, TieBreakPolicy, _Search,
+                            optimum_value, solve_av, solve_cc, solve_pav)
 from pbvoting.fairness import find_ejr_violation, is_cohesive, max_t_cap
 from pbvoting.sequential import rule_x, rule_x_eps, seq_pav
 
@@ -53,6 +57,98 @@ def test_ejr_status_matches_oracle_at_every_cap(election, data):
             assert verdict.status == ("satisfied" if t_cap >= top
                                       else "unknown")
             assert verdict.witness is None
+
+
+@st.composite
+def mixed_unit_elections(draw):
+    # costs in units of 1, 1/2, 1/3, 1/7 and 1/100, and ballots of up to 8
+    # projects, so the search scales harmonic scores by up to lcm(1..8)
+    m = draw(st.integers(1, 10))
+    ids = [f"p{j}" for j in range(m)]
+
+    def amount(low, high):
+        unit = draw(st.sampled_from([1, 2, 3, 7, 100]))
+        return Fraction(draw(st.integers(low * unit, high * unit)), unit)
+
+    costs = [amount(1, 20) for _ in ids]
+    budget = amount(1, int(sum(costs)))
+    ballot = st.frozensets(st.sampled_from(ids), max_size=8)
+    if draw(st.booleans()):  # hypothesis rarely draws long ballots itself
+        ballot = st.frozensets(st.sampled_from(ids), min_size=min(m, 7),
+                               max_size=8)
+    pool = draw(st.lists(ballot, min_size=1, max_size=5))
+    ballots = draw(st.lists(st.sampled_from(pool), max_size=8))
+    instance = PBInstance(tuple(map(Project, ids, costs)), budget)
+    return instance, ApprovalProfile(tuple(ballots))
+
+
+@settings(max_examples=200)
+@given(mixed_unit_elections())
+def test_exact_rules_match_oracle_under_every_policy(election):
+    inst, prof = election
+    secondary = {
+        "lex-by-id": lambda b: 0,
+        "cheapest-first": inst.cost_of,
+        "worst-sw": lambda b: social_welfare(prof, b),
+        "worst-rp": lambda b: representation(prof, b),
+    }
+    for objective, solve in (("sw", solve_av), ("rp", solve_cc),
+                             ("pav", solve_pav)):
+        best, optima = oracle_search(inst, prof, objective)
+        assert optimum_value(objective, inst, prof) == best
+        for variant, key in secondary.items():
+            assert solve(inst, prof, TieBreakPolicy(variant)) == min(
+                optima, key=lambda b: (key(b), sorted(b))), variant
+        for seed in range(3):
+            assert solve(inst, prof,
+                         TieBreakPolicy.random_seeded(seed)) in optima
+
+
+def _knapsack_relaxation(items, budget):
+    """Best value of fractionally packed (value, cost) items."""
+    total = Fraction(0)
+    for value, cost in sorted(items, key=lambda vc: vc[0] / vc[1],
+                              reverse=True):
+        if cost > budget:
+            return total + value * budget / cost
+        total += value
+        budget -= cost
+    return total
+
+
+@given(mixed_unit_elections(), st.data())
+def test_search_bound_lies_between_best_completion_and_relaxation(
+        election, data):
+    # the bound of a partial bundle, against brute force over the affordable
+    # sets of undecided projects and against the fractional knapsack on
+    # their marginal gains, both in exact Fractions
+    inst, prof = election
+    for objective, score in (("sw", social_welfare), ("rp", representation),
+                             ("pav", pav_score)):
+        search = _Search(inst, prof, objective, SearchBudget())
+        unit = search.scale if objective == "pav" else 1
+        idx = data.draw(st.integers(0, search.m))
+        residual = search.budget
+        for j in range(idx):
+            if search.costs[j] <= residual and data.draw(st.booleans()):
+                search._move(j, 1)
+                residual -= search.costs[j]
+        bound = search._bound(idx, residual)
+
+        chosen = {search.ids[j] for j in range(idx) if search.chosen[j]}
+        money = inst.budget - inst.cost_of(chosen)
+        rest = [search.ids[j] for j in range(idx, search.m)]
+        best = max(score(prof, chosen | set(subset))
+                   for k in range(len(rest) + 1)
+                   for subset in itertools.combinations(rest, k)
+                   if inst.cost_of(subset) <= money)
+        now = score(prof, chosen)
+        relaxation = now + _knapsack_relaxation(
+            [(score(prof, chosen | {pid}) - now, inst.cost(pid))
+             for pid in rest if inst.cost(pid) <= money], money)
+        assert best * unit <= bound <= relaxation * unit, objective
+        if objective != "pav":  # pav may cap the relaxation per group
+            assert bound == math.floor(relaxation), objective
 
 
 def _outcomes(inst, prof):
