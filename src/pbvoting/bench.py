@@ -150,19 +150,22 @@ def run_rule(rule: str, instance: PBInstance, profile: ApprovalProfile,
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def load_dataset(spec: ExperimentSpec
+def load_dataset(name: str, seed: int = 0, count: int = 1
                  ) -> list[tuple[str, PBInstance, ApprovalProfile]]:
-    name = spec.dataset
+    """(instance id, instance, profile) for each instance of a dataset.
+
+    `seed` and `count` choose the generated instances of a generator
+    dataset; the other datasets ignore them.
+    """
     if name == "city":
         return [("city", *city())]
     if name == "tiny":
         return [("tiny", *tiny())]
     if name in PRESETS or name in ("euclidean", "partylist"):
         out = []
-        for k in range(spec.n_instances):
-            seed = spec.seed + k
-            inst, prof = generate(name, seed)
-            out.append((f"{name}-{seed:05d}", inst, prof))
+        for k in range(count):
+            inst, prof = generate(name, seed + k)
+            out.append((f"{name}-{seed + k:05d}", inst, prof))
         return out
     if name.startswith("pabulib:"):
         path = Path(name.split(":", 1)[1])
@@ -178,7 +181,7 @@ def load_dataset(spec: ExperimentSpec
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    instances = load_dataset(spec)
+    instances = load_dataset(spec.dataset, spec.seed, spec.n_instances)
     budget = SearchBudget(spec.max_nodes)
     rows: list[ResultRow] = []
     for instance_id, inst, prof in instances:

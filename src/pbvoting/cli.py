@@ -97,17 +97,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    dataset = _resolve_dataset(args)
-    spec = ExperimentSpec(dataset=dataset, rules=("AV",), seed=args.seed)
-    instance_id, inst, prof = load_dataset(spec)[0]
+    instance_id, inst, prof = load_dataset(_resolve_dataset(args),
+                                           args.seed)[0]
     policy = (TieBreakPolicy.random_seeded(args.tie_seed)
               if args.tiebreak == "random" else TieBreakPolicy(args.tiebreak))
     budget = SearchBudget(args.max_nodes)
     bundle = run_rule(args.rule, inst, prof, policy, budget, args.rx_eps_mode)
     sw = social_welfare(prof, bundle)
     rp = representation(prof, bundle)
-    opt_sw = optimum_value("sw", inst, prof, budget)
-    opt_rp = optimum_value("rp", inst, prof, budget)
+    # an AV bundle attains the sw optimum and a CC bundle the rp one
+    opt_sw = sw if args.rule == "AV" else optimum_value("sw", inst, prof,
+                                                         budget)
+    opt_rp = rp if args.rule == "CC" else optimum_value("rp", inst, prof,
+                                                         budget)
     verdict = find_ejr_violation(inst, prof, bundle, args.tcap)
     print(f"instance    {instance_id}")
     print(f"rule        {args.rule}")
@@ -171,9 +173,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check_ejr(args) -> int:
-    dataset = _resolve_dataset(args)
-    spec = ExperimentSpec(dataset=dataset, rules=("AV",), seed=args.seed)
-    instance_id, inst, prof = load_dataset(spec)[0]
+    instance_id, inst, prof = load_dataset(_resolve_dataset(args),
+                                           args.seed)[0]
     bundle = frozenset(s.strip() for s in args.bundle.split(",") if s.strip())
     verdict = find_ejr_violation(inst, prof, bundle, args.tcap)
     print(f"instance  {instance_id}")

@@ -11,8 +11,8 @@ bundles attaining the optimal objective to which no further project can be
 added within the budget.  Dropping non-maximal optima loses nothing (the
 objectives are monotone, so every optimum extends to a maximal one with the
 same objective value) and matches how budget-exhausting outcomes are scored.
-The tie-break policy then selects a single bundle from that set, in a second
-search that streams over the set without storing it.
+The tie-break policy then selects a single bundle from that set, in the same
+search that finds the optimum, streaming over the set without storing it.
 
 The search runs on integers only.  Costs and the budget are multiplied by D,
 the least common multiple of their denominators (D = 100 for cent-valued
@@ -24,17 +24,38 @@ are the exact ones.
 
 Because every objective is then an integer, the floor of the
 fractional-knapsack bound is still an upper bound on every completion of a
-branch: the partly taken item contributes v*r // c.  The optimum phase prunes
-a branch when floor(bound) <= best, which cuts more than the unfloored test.
-The tie phase prunes when floor(bound) < opt, which for an integer opt holds
-exactly when bound < opt, so the tie set is the one the unfloored bound would
-give.  Knapsack items are ordered by exact density (v times lcm(costs)/c, an
-integer); a rounded order could take a worse item first and make the bound
-inadmissible.
+branch: the partly taken item contributes v*r // c.  Knapsack items are
+ordered by exact density (v times lcm(costs)/c, an integer); a rounded order
+could take a worse item first and make the bound inadmissible.
+
+For rp and pav the bound is also capped per group.  A group of w voters with
+c funded approvals and a affordable undecided ones can gain at most
+w * (harm[c+a] - harm[c]), whatever the budget.  For pav that is the
+harmonic cap, tighter than summing each project's gain because later projects
+add diminishing increments.  For rp (gains 1, 0, 0, ...) it is the union
+bound: the weight of the uncovered groups that some affordable undecided
+project still reaches.  The knapsack alone counts such a group once for each
+of its affordable projects, however few of them fit together.
+
+`optimum_value` prunes a branch when floor(bound) <= best, which cuts more
+than the unfloored test.  A `solve_*` call makes one pass that finds the
+optimum and picks among its ties together.  It prunes a branch only when
+floor(bound) < incumbent, the best leaf score so far, which for an integer
+incumbent holds exactly when bound < incumbent.  The incumbent never exceeds
+the optimum and the bound is admissible, so every maximal optimum is
+visited, in the same depth-first order as by a search that knew the optimum
+and pruned at floor(bound) < opt.  Maximal leaves that tie the incumbent feed
+the policy's running pick, and a strictly better leaf restarts it.  For
+random the restart re-seeds the generator, so the reservoir draws run over
+the maximal optima alone, in that order and from the policy's seed: the
+pick does not depend on the leaves seen before the optimum.  The
+worst-sw/worst-rp cut on the secondary score fires only where
+floor(bound) <= incumbent: a branch that may still beat the incumbent can
+hold the optimum, whatever its secondary score.
 
 Each undecided project's marginal gain is kept up to date as projects are
 funded and taken back, so a bound is one pass over the undecided projects
-(pav adds a pass over their approvers for its per-group harmonic cap).
+plus one over their approvers for the per-group cap.
 """
 
 from __future__ import annotations
@@ -96,7 +117,7 @@ class SearchBudget:
 
 
 class _Search:
-    """One branch-and-bound context; the node budget spans both phases.
+    """One branch-and-bound context; the node budget spans every search on it.
 
     All search state is integer: costs, the budget and the residual are in
     units of 1/D, harmonic scores in units of 1/L (see the module docstring).
@@ -176,7 +197,6 @@ class _Search:
         self.score = 0
         self.sw = 0
         self.rp = 0
-        self.cut = 0  # a branch whose bound is below this is pruned
 
     # -- state -------------------------------------------------------------
 
@@ -210,11 +230,11 @@ class _Search:
         self.rp += sign * covered
         self.score += sign * score
 
-    def _bound(self, idx: int, residual: int) -> int:
+    def _bound(self, idx: int, residual: int, cut: int) -> int:
         """Floor of the fractional-knapsack bound over projects idx.. .
 
-        Returns early with any value below `self.cut` once the budget-free
-        relaxation (for pav, the per-group harmonic cap) is below it.
+        For rp and pav the bound is also capped per group, unless the
+        knapsack bound alone is already below `cut`.
         """
         costs, value = self.costs, self.value
         if self.objective == "sw":
@@ -229,27 +249,9 @@ class _Search:
                 bound += value[j]
                 r -= c
             return bound
-        items = [(value[j] * self.density_scale[j], value[j], costs[j])
-                 for j in range(idx, self.m)
-                 if costs[j] <= residual and value[j]]
-        if self.objective == "rp":
-            quick = self.score + sum(item[1] for item in items)
-        else:
-            # per-group harmonic cap: a group gaining a more approved
-            # projects gains at most w*L*(H(c+a) - H(c)); tighter than the
-            # per-item sum because later projects add diminishing increments
-            avail: dict[int, int] = {}
-            for j in range(idx, self.m):
-                if costs[j] <= residual:
-                    for g in self.approvers[j]:
-                        avail[g] = avail.get(g, 0) + 1
-            harm, counts, weights = self.harm, self.counts, self.weights
-            quick = self.score + sum(
-                weights[g] * (harm[counts[g] + a] - harm[counts[g]])
-                for g, a in avail.items())
-        if quick < self.cut:
-            return quick
-        items.sort(reverse=True)
+        items = sorted(((value[j] * self.density_scale[j], value[j], costs[j])
+                        for j in range(idx, self.m)
+                        if costs[j] <= residual and value[j]), reverse=True)
         bound, r = self.score, residual
         for _, v, c in items:
             if c > r:
@@ -257,7 +259,19 @@ class _Search:
                 break
             bound += v
             r -= c
-        return min(bound, quick)
+        if bound < cut:
+            return bound
+        # per-group cap (see the module docstring): the harmonic cap for
+        # pav, the union bound for rp
+        avail: dict[int, int] = {}
+        for j in range(idx, self.m):
+            if costs[j] <= residual:
+                for g in self.approvers[j]:
+                    avail[g] = avail.get(g, 0) + 1
+        harm, counts, weights = self.harm, self.counts, self.weights
+        return min(bound, self.score + sum(
+            weights[g] * (harm[counts[g] + a] - harm[counts[g]])
+            for g, a in avail.items()))
 
     def _is_maximal(self, residual: int) -> bool:
         for j in range(self.m):
@@ -268,43 +282,46 @@ class _Search:
     # -- phases ------------------------------------------------------------
 
     def optimum(self) -> int:
-        """Best attainable objective value (first phase).
+        """Best attainable objective value, without its ties.
 
         A branch is pruned when its bound does not exceed the incumbent.
         """
         best = self.score
-        self.cut = best + 1
 
         def leaf(residual):
             nonlocal best
-            if self.score > best:
-                best = self.score
-                self.cut = best + 1
+            best = max(best, self.score)
 
-        self._dfs(0, self.budget, leaf, None)
+        self._dfs(0, self.budget, leaf, lambda: best + 1)
         return best
 
-    def select(self, opt: int, policy: TieBreakPolicy) -> frozenset:
-        """The policy's pick among the maximal bundles of objective `opt`.
+    def select(self, policy: TieBreakPolicy) -> frozenset:
+        """The policy's pick among the maximal optimal bundles, in one pass.
 
-        Streams over the tie set without storing it.  lex-by-id,
-        cheapest-first, worst-sw and worst-rp keep the least (secondary key,
-        sorted ids) seen; worst-sw and worst-rp also cut branches whose
-        partial secondary score already exceeds the best, as both scores
-        only grow when projects are added.  random keeps one bundle by
-        reservoir sampling, which is uniform over the whole tie set.
+        A branch is pruned when its bound is below the incumbent, and a
+        strictly better leaf restarts the pick (see the module docstring).
+        lex-by-id, cheapest-first, worst-sw and worst-rp keep the least
+        (secondary key, sorted ids) seen.  worst-sw and worst-rp also cut a
+        branch that can at best tie the incumbent and whose partial
+        secondary score already exceeds the pick's, as both scores only
+        grow when projects are added.  random keeps one bundle by reservoir
+        sampling, which is uniform over the whole tie set.
         """
         self.phase = "ties"
-        self.cut = opt
         variant = policy.variant
         rng = random.Random(policy.seed) if variant == "random" else None
         secondary = {"worst-sw": "sw", "worst-rp": "rp"}.get(variant)
+        incumbent = self.score
         best: Optional[tuple] = None
         seen = 0
 
         def leaf(residual):
-            nonlocal best, seen
-            if self.score != opt or not self._is_maximal(residual):
+            nonlocal incumbent, best, seen
+            if self.score > incumbent:
+                incumbent, best, seen = self.score, None, 0
+                if rng is not None:
+                    rng.seed(policy.seed)
+            if self.score < incumbent or not self._is_maximal(residual):
                 return
             ids = tuple(sorted(self.ids[j] for j in range(self.m)
                                if self.chosen[j]))
@@ -322,37 +339,38 @@ class _Search:
             if best is None or key < best:
                 best = key
 
-        def exceeds():
-            return best is not None and getattr(self, secondary) > best[0]
+        def cut():
+            # a branch that cannot beat the pick's secondary key survives
+            # only if it can beat the incumbent
+            return incumbent + (secondary is not None and best is not None
+                                and getattr(self, secondary) > best[0])
 
-        self._dfs(0, self.budget, leaf, exceeds if secondary else None)
+        self._dfs(0, self.budget, leaf, cut)
         assert best is not None, "an optimum always has a maximal extension"
         return frozenset(best[-1])
 
-    def _dfs(self, idx: int, residual: int, leaf: Callable,
-             exceeds: Optional[Callable]):
+    def _dfs(self, idx: int, residual: int, leaf: Callable, cut: Callable):
+        """Visit the branch below idx; prune where the bound is below cut()."""
         self._tick()
         while idx < self.m and self.costs[idx] > residual:
             idx += 1  # forced exclusion: project no longer affordable
         if idx == self.m:
             leaf(residual)
             return
-        if exceeds is not None and exceeds():
-            return
-        if self._bound(idx, residual) < self.cut:
+        c = cut()
+        if self._bound(idx, residual, c) < c:
             return
         prev = self.prev_in_class[idx]
         if prev is None or self.chosen[prev]:
             self._move(idx, 1)
-            self._dfs(idx + 1, residual - self.costs[idx], leaf, exceeds)
+            self._dfs(idx + 1, residual - self.costs[idx], leaf, cut)
             self._move(idx, -1)
-        self._dfs(idx + 1, residual, leaf, exceeds)
+        self._dfs(idx + 1, residual, leaf, cut)
 
 
 def _solve(objective: str, instance: PBInstance, profile: ApprovalProfile,
            tiebreak: TieBreakPolicy, search_budget: SearchBudget) -> frozenset:
-    search = _Search(instance, profile, objective, search_budget)
-    return search.select(search.optimum(), tiebreak)
+    return _Search(instance, profile, objective, search_budget).select(tiebreak)
 
 
 def solve_av(instance: PBInstance, profile: ApprovalProfile,

@@ -1,7 +1,11 @@
+import random
+import string
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_instance
 from pbvoting.core import ApprovalProfile, PBInstance, Project
@@ -172,3 +176,68 @@ def test_cost_must_be_a_finite_decimal():
     bad = MINIMAL.replace("p;100", "p;1/3")
     with pytest.raises(PabulibParseError, match=r"line 7: project 'p'.*finite"):
         parse_pb(bad)
+
+
+@st.composite
+def pb_elections(draw):
+    # decimal costs and budget with per-value denominators 2^a * 5^b
+    ids = draw(st.lists(st.text(string.ascii_letters + string.digits + "_-.",
+                                min_size=1, max_size=6),
+                        min_size=1, max_size=8, unique=True))
+
+    def amount():
+        unit = draw(st.sampled_from([1, 2, 4, 5, 8, 10, 100, 1000, 5000]))
+        return Fraction(draw(st.integers(1, 10 ** 6)), unit)
+
+    costs = [amount() for _ in ids]
+    ballots = draw(st.lists(st.frozensets(st.sampled_from(ids)), max_size=12))
+    return (PBInstance(tuple(map(Project, ids, costs)), amount()),
+            ApprovalProfile(tuple(ballots)))
+
+
+@given(pb_elections())
+def test_pb_roundtrip_is_exact(election):
+    inst, prof = election
+    assert parse_pb(write_pb(inst, prof))[:2] == (inst, prof)
+
+
+TOKENS = ["", ";", ",", "-", "0", "x", "1/0", "nan", "1e400", "\t", "\n",
+          "META", "VOTES", "key;value", "num_votes;1", "A-d0"]
+
+
+def _mutate(lines: list[str], rng: random.Random) -> list[str]:
+    """Delete or duplicate a line, or insert a token at a cell boundary.
+
+    Half the edits go to the META and PROJECTS lines, which carry the
+    structure, and half anywhere in the file.
+    """
+    lines = list(lines)
+    at = rng.randrange(min(26, len(lines)) if rng.random() < 0.5
+                       else len(lines))
+    kind = rng.choice(["delete", "duplicate", "insert"])
+    line = lines[at]
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, line)
+    else:
+        pos = rng.choice([0, len(line)] + [i + 1 for i, ch in enumerate(line)
+                                           if ch in ";,"])
+        lines[at] = line[:pos] + rng.choice(TOKENS) + line[pos:]
+    return lines
+
+
+def test_mutated_city_file_raises_only_parse_errors():
+    city_lines = (DATA / "city.pb").read_text(encoding="utf-8").splitlines()
+    rng = random.Random(0)
+    for _ in range(1000):
+        lines = city_lines
+        for _ in range(rng.randint(1, 3)):
+            lines = _mutate(lines, rng)
+        text = "\n".join(lines) + "\n"
+        try:
+            parse_pb(text)
+        except PabulibParseError:
+            pass
+        except Exception as e:  # any other exception breaks the property
+            pytest.fail(f"{type(e).__name__}: {e}\n{text}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -99,9 +100,23 @@ def test_exact_rules_match_oracle_under_every_policy(election):
         for variant, key in secondary.items():
             assert solve(inst, prof, TieBreakPolicy(variant)) == min(
                 optima, key=lambda b: (key(b), sorted(b))), variant
+        # random draws as reservoir sampling over the optima that the
+        # search visits: those canonical within each class of
+        # interchangeable projects, in include-first depth-first order
+        search = _Search(inst, prof, objective, SearchBudget())
+        order = search.ids
+        visited = sorted(
+            (b for b in optima
+             if all(order[p] in b for j, p in enumerate(search.prev_in_class)
+                    if p is not None and order[j] in b)),
+            key=lambda b: [pid not in b for pid in order])
         for seed in range(3):
+            rng, expected = random.Random(seed), None
+            for k, bundle in enumerate(visited, 1):
+                if rng.randrange(k) == 0:
+                    expected = bundle
             assert solve(inst, prof,
-                         TieBreakPolicy.random_seeded(seed)) in optima
+                         TieBreakPolicy.random_seeded(seed)) == expected
 
 
 def _knapsack_relaxation(items, budget):
@@ -133,7 +148,7 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
             if search.costs[j] <= residual and data.draw(st.booleans()):
                 search._move(j, 1)
                 residual -= search.costs[j]
-        bound = search._bound(idx, residual)
+        bound = search._bound(idx, residual, 0)  # cut 0: the full bound
 
         chosen = {search.ids[j] for j in range(idx) if search.chosen[j]}
         money = inst.budget - inst.cost_of(chosen)
@@ -147,8 +162,14 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
             [(score(prof, chosen | {pid}) - now, inst.cost(pid))
              for pid in rest if inst.cost(pid) <= money], money)
         assert best * unit <= bound <= relaxation * unit, objective
-        if objective != "pav":  # pav may cap the relaxation per group
-            assert bound == math.floor(relaxation), objective
+        if objective == "sw":  # rp and pav may cap the relaxation per group
+            assert bound == math.floor(relaxation)
+        if objective == "rp":  # no more than every reachable voter covered
+            reachable = [ballot for ballot in prof.ballots
+                         if not ballot & chosen and any(
+                             inst.cost(pid) <= money for pid in ballot
+                             if pid in rest)]
+            assert bound <= now + len(reachable)
 
 
 def _outcomes(inst, prof):
