@@ -1,9 +1,8 @@
 """Exact-arithmetic participatory-budgeting voting rules and benchmarks."""
 
-from .core import (ApprovalProfile, Bundle, DegenerateInstanceError,
-                   OutcomeReport, PBInstance, Project, UnknownProjectError,
-                   harmonic, is_feasible, pav_score, ratios, representation,
-                   social_welfare)
+from .core import (ApprovalProfile, Bundle, PBInstance, Project,
+                   UnknownProjectError, harmonic, is_feasible, pav_score,
+                   representation, social_welfare)
 from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
                     optimum_value, solve_av, solve_cc, solve_pav)
 from .fairness import (CappedSearchError, CohesiveWitness, EjrVerdict,
@@ -15,9 +14,9 @@ from .sequential import (EqualSharesTrace, q_value, rule_x, rule_x_eps,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApprovalProfile", "Bundle", "DegenerateInstanceError", "OutcomeReport",
-    "PBInstance", "Project", "UnknownProjectError", "harmonic", "is_feasible",
-    "pav_score", "ratios", "representation", "social_welfare",
+    "ApprovalProfile", "Bundle", "PBInstance", "Project",
+    "UnknownProjectError", "harmonic", "is_feasible", "pav_score",
+    "representation", "social_welfare",
     "SearchBudget", "SearchBudgetExceeded", "TieBreakPolicy", "optimum_value",
     "solve_av", "solve_cc", "solve_pav",
     "CappedSearchError", "CohesiveWitness", "EjrVerdict", "default_t_cap",

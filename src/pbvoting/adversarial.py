@@ -36,13 +36,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from .core import (ApprovalProfile, PBInstance, Project, ratios,
-                   representation, social_welfare)
-from .exact import (SearchBudget, TieBreakPolicy, optimum_value, solve_av,
-                    solve_cc, solve_pav)
-from .sequential import rule_x, seq_pav
+from .bench import run_rule
+from .core import (ApprovalProfile, PBInstance, Project, representation,
+                   social_welfare)
+from .exact import SearchBudget, TieBreakPolicy, optimum_value
 
 
 class Family(str, Enum):
@@ -277,29 +276,17 @@ def build(family: Family, **params) -> AdversarialCase:
     raise ValueError(f"unknown family {family}")
 
 
-def _run_target(case: AdversarialCase,
-                search_budget: SearchBudget) -> frozenset:
+def verify(case: AdversarialCase,
+           search_budget: SearchBudget = SearchBudget()) -> VerifyReport:
+    """Replay the target rule and check the claimed ratio and ceiling.
+
+    Ties go to the worst bundle for the ratio in question; sPAV, which has
+    no tie set, falls back to cheapest-first.
+    """
     inst, prof = case.instance, case.profile
     worst = (TieBreakPolicy.worst_sw() if case.ratio_kind == "sw"
              else TieBreakPolicy.worst_rp())
-    if case.target_rule == "sPAV":
-        return seq_pav(inst, prof)
-    if case.target_rule == "AV":
-        return solve_av(inst, prof, worst, search_budget)
-    if case.target_rule == "CC":
-        return solve_cc(inst, prof, worst, search_budget)
-    if case.target_rule == "PAV":
-        return solve_pav(inst, prof, worst, search_budget)
-    if case.target_rule == "RX":
-        return rule_x(inst, prof)
-    raise ValueError(f"unknown target rule {case.target_rule}")
-
-
-def verify(case: AdversarialCase,
-           search_budget: SearchBudget = SearchBudget()) -> VerifyReport:
-    """Replay the target rule and check the claimed ratio and ceiling."""
-    inst, prof = case.instance, case.profile
-    bundle = _run_target(case, search_budget)
+    bundle = run_rule(case.target_rule, inst, prof, worst, search_budget)
     if case.ratio_kind == "sw":
         opt = optimum_value("sw", inst, prof, search_budget)
         achieved = Fraction(social_welfare(prof, bundle), opt)

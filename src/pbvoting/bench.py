@@ -1,5 +1,13 @@
 """Benchmark harness: run rules over datasets, produce ratio/EJR tables.
 
+`RULES` is the one rule table: it maps each rule name to its runner
+``(instance, profile, policy, search_budget) -> bundle`` and to its plot
+marker.  `run_rule`, the spec check, the adversarial replay and the plot all
+read it.  Each runner looks its rule function up in this module's globals
+when it runs, not when the table is built, so code that rebinds a module
+attribute such as ``bench.solve_cc`` (a tracer, a test double) still sees
+every call.
+
 A run is described by an :class:`ExperimentSpec`; :func:`run_experiment`
 executes every instance x rule pair and returns one :class:`ResultRow` per
 pair.  The ratios divide by the instance's exact sw and rp optima.  An AV
@@ -25,10 +33,10 @@ import hashlib
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (ApprovalProfile, PBInstance, representation,
                    social_welfare)
@@ -39,8 +47,6 @@ from .fairness import find_ejr_violation
 from .instances import city, tiny
 from .pabulib import parse_pb
 from .sequential import rule_x, rule_x_eps, rule_x_pav, seq_pav
-
-RULE_NAMES = ("AV", "CC", "PAV", "sPAV", "RX", "RX-eps", "RX-PAV")
 
 CSV_COLUMNS = ("instance", "rule", "sw", "rp", "util_ratio", "rep_ratio",
                "ejr", "wall_ms", "reason")
@@ -55,7 +61,6 @@ class ExperimentSpec:
     tiebreak: str = "random"          # TieBreakPolicy variant
     t_cap: Optional[int] = None       # None: per-instance default cap
     max_nodes: int = 2_000_000
-    rx_eps_mode: str = "limit"
     record_time: bool = False
 
     def __post_init__(self):
@@ -65,9 +70,7 @@ class ExperimentSpec:
             if rule not in RULE_NAMES:
                 raise ValueError(
                     f"unknown rule {rule!r}; choose from {RULE_NAMES}")
-        if self.tiebreak not in ("random", "lex-by-id", "cheapest-first",
-                                 "worst-sw", "worst-rp"):
-            raise ValueError(f"unknown tie-break {self.tiebreak!r}")
+        TieBreakPolicy(self.tiebreak, self.seed)  # rejects unknown variants
         if self.n_instances < 1:
             raise ValueError("n_instances must be positive")
 
@@ -116,10 +119,8 @@ def _tie_seed(spec_seed: int, instance_id: str, rule: str) -> int:
 
 
 def _policy(spec: ExperimentSpec, instance_id: str, rule: str) -> TieBreakPolicy:
-    if spec.tiebreak == "random":
-        return TieBreakPolicy.random_seeded(
-            _tie_seed(spec.seed, instance_id, rule))
-    return TieBreakPolicy(spec.tiebreak)
+    return TieBreakPolicy(spec.tiebreak,
+                          _tie_seed(spec.seed, instance_id, rule))
 
 
 def _greedy_policy(policy: TieBreakPolicy) -> TieBreakPolicy:
@@ -130,24 +131,31 @@ def _greedy_policy(policy: TieBreakPolicy) -> TieBreakPolicy:
     return policy
 
 
+class Rule(NamedTuple):
+    run: Callable[[PBInstance, ApprovalProfile, TieBreakPolicy, SearchBudget],
+                  frozenset]
+    marker: str  # plot marker shape
+
+
+RULES = {
+    "AV": Rule(lambda i, p, t, b: solve_av(i, p, t, b), "circle"),
+    "CC": Rule(lambda i, p, t, b: solve_cc(i, p, t, b), "square"),
+    "PAV": Rule(lambda i, p, t, b: solve_pav(i, p, t, b), "triangle-up"),
+    "sPAV": Rule(lambda i, p, t, b: seq_pav(i, p, _greedy_policy(t)),
+                 "diamond"),
+    "RX": Rule(lambda i, p, t, b: rule_x(i, p), "triangle-down"),
+    "RX-eps": Rule(lambda i, p, t, b: rule_x_eps(i, p), "cross"),
+    "RX-PAV": Rule(lambda i, p, t, b: rule_x_pav(i, p, t, b), "plus"),
+}
+
+RULE_NAMES = tuple(RULES)
+
+
 def run_rule(rule: str, instance: PBInstance, profile: ApprovalProfile,
-             policy: TieBreakPolicy, search_budget: SearchBudget,
-             rx_eps_mode: str = "limit") -> frozenset:
-    if rule == "AV":
-        return solve_av(instance, profile, policy, search_budget)
-    if rule == "CC":
-        return solve_cc(instance, profile, policy, search_budget)
-    if rule == "PAV":
-        return solve_pav(instance, profile, policy, search_budget)
-    if rule == "sPAV":
-        return seq_pav(instance, profile, _greedy_policy(policy))
-    if rule == "RX":
-        return rule_x(instance, profile)
-    if rule == "RX-eps":
-        return rule_x_eps(instance, profile, rx_eps_mode)
-    if rule == "RX-PAV":
-        return rule_x_pav(instance, profile, policy, search_budget)
-    raise ValueError(f"unknown rule {rule!r}")
+             policy: TieBreakPolicy, search_budget: SearchBudget) -> frozenset:
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}; choose from {RULE_NAMES}")
+    return RULES[rule].run(instance, profile, policy, search_budget)
 
 
 def load_dataset(name: str, seed: int = 0, count: int = 1
@@ -190,8 +198,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             t0 = time.perf_counter()
             try:
                 bundle = run_rule(rule, inst, prof,
-                                  _policy(spec, instance_id, rule), budget,
-                                  spec.rx_eps_mode)
+                                  _policy(spec, instance_id, rule), budget)
             except SearchBudgetExceeded as e:
                 outcomes[rule] = (None, None, str(e))
                 continue
@@ -226,7 +233,8 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 verdict.status, ms, ""))
     rows.sort(key=lambda r: (r.instance, r.rule))
     if rows and not any(r.ok for r in rows):
-        raise RuntimeError("every row failed; check the search budget")
+        raise SearchBudgetExceeded(
+            f"every row failed; first failure: {rows[0].reason}")
     return rows
 
 
@@ -333,7 +341,7 @@ def parse_config(text: str) -> dict[str, str]:
 
 def spec_from_config(values: dict[str, str]) -> ExperimentSpec:
     known = {"dataset", "rules", "seed", "instances", "tiebreak", "tcap",
-             "max_nodes", "rx_eps_mode", "record_time"}
+             "max_nodes", "record_time"}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown config key(s) {sorted(unknown)}")
@@ -347,6 +355,5 @@ def spec_from_config(values: dict[str, str]) -> ExperimentSpec:
         tiebreak=values.get("tiebreak", "random"),
         t_cap=int(values["tcap"]) if "tcap" in values else None,
         max_nodes=int(values.get("max_nodes", "2000000")),
-        rx_eps_mode=values.get("rx_eps_mode", "limit"),
         record_time=values.get("record_time", "false").lower() == "true",
     )

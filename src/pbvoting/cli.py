@@ -9,7 +9,7 @@ Subcommands::
     pbbench adversarial verify the worst-case families
 
 Exit codes: 0 success, 1 partial failure (failed rows, violated/failed
-checks), 2 usage or spec error.
+checks, a search over its node budget), 2 usage or spec error.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .bench import (ExperimentSpec, aggregate, format_ratio, load_dataset,
                     spec_from_config, summaries_to_csv, summaries_to_text)
 from .core import representation, social_welfare
 from .datagen import PRESETS, generate
-from .exact import SearchBudget, TieBreakPolicy, optimum_value
+from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
+                    optimum_value)
 from .fairness import find_ejr_violation
-from .pabulib import parse_pb, write_pb
+from .pabulib import write_pb
 
 
 def _dataset_args(p: argparse.ArgumentParser):
@@ -63,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="seed for --tiebreak random")
     p.add_argument("--tcap", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=2_000_000)
-    p.add_argument("--rx-eps-mode", default="limit")
 
     p = sub.add_parser("bench", help="run an experiment, emit CSV/SVG")
     p.add_argument("--config", help="flat key=value spec file")
@@ -99,10 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     instance_id, inst, prof = load_dataset(_resolve_dataset(args),
                                            args.seed)[0]
-    policy = (TieBreakPolicy.random_seeded(args.tie_seed)
-              if args.tiebreak == "random" else TieBreakPolicy(args.tiebreak))
+    policy = TieBreakPolicy(args.tiebreak, args.tie_seed)
     budget = SearchBudget(args.max_nodes)
-    bundle = run_rule(args.rule, inst, prof, policy, budget, args.rx_eps_mode)
+    bundle = run_rule(args.rule, inst, prof, policy, budget)
     sw = social_welfare(prof, bundle)
     rp = representation(prof, bundle)
     # an AV bundle attains the sw optimum and a CC bundle the rp one
@@ -232,6 +231,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except SearchBudgetExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,10 +26,6 @@ class UnknownProjectError(ValueError):
     """A bundle or ballot references a project id that does not exist."""
 
 
-class DegenerateInstanceError(ValueError):
-    """Raised when a ratio denominator is zero (no voter approves anything)."""
-
-
 def as_fraction(x: _RationalLike) -> Fraction:
     """Convert ints, decimal strings and fractions to an exact Fraction."""
     if isinstance(x, Fraction):
@@ -184,39 +180,3 @@ def pav_score(profile: ApprovalProfile, bundle: Iterable[str],
 def is_feasible(instance: PBInstance, bundle: Iterable[str]) -> bool:
     """True iff the bundle's total cost fits within the budget."""
     return instance.cost_of(bundle) <= instance.budget
-
-
-def ratios(instance: PBInstance, profile: ApprovalProfile, bundle: Iterable[str],
-           opt_sw: int, opt_rp: int) -> tuple[Fraction, Fraction]:
-    """Welfare and representation ratios of a bundle against the instance optima.
-
-    The optima are computed by the exact solvers; a zero optimum means no
-    voter approves anything and the ratio is undefined.
-    """
-    if opt_sw < 1 or opt_rp < 1:
-        raise DegenerateInstanceError("optimal scores must be at least 1")
-    funded = frozenset(bundle)
-    _check_bundle(instance, funded)
-    sw = social_welfare(profile, funded)
-    rp = representation(profile, funded)
-    return Fraction(sw, opt_sw), Fraction(rp, opt_rp)
-
-
-@dataclass(frozen=True)
-class OutcomeReport:
-    """Scores and ratios of one rule's outcome on one instance."""
-
-    rule: str
-    bundle: frozenset[str]
-    sw: int
-    rp: int
-    pav: Fraction
-    util_ratio: Fraction
-    rep_ratio: Fraction
-    ejr: str  # "satisfied" | "violated" | "unknown"
-
-    def __post_init__(self):
-        if not (0 <= self.rp <= self.sw):
-            raise ValueError("representation must lie in [0, social welfare]")
-        if not (0 <= self.util_ratio <= 1 and 0 <= self.rep_ratio <= 1):
-            raise ValueError("ratios must lie in [0, 1]")

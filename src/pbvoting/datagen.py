@@ -18,7 +18,7 @@ Costs and budgets are rounded to whole cents and stored as exact fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 

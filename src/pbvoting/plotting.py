@@ -10,18 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .bench import RuleSummary
-
-# marker shape per rule; unknown rules fall back to a circle
-_SHAPES = {
-    "AV": "circle",
-    "CC": "square",
-    "PAV": "triangle-up",
-    "sPAV": "diamond",
-    "RX": "triangle-down",
-    "RX-eps": "cross",
-    "RX-PAV": "plus",
-}
+from .bench import RULES, RuleSummary
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
             "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
@@ -36,6 +25,11 @@ def _fmt(x: float) -> str:
 
 def _xy(util: float, rep: float) -> tuple[float, float]:
     return (_MARGIN + util * _PLOT, _MARGIN + (1.0 - rep) * _PLOT)
+
+
+def _shape(rule: str) -> str:
+    # a rule outside the table falls back to a circle
+    return RULES[rule].marker if rule in RULES else "circle"
 
 
 def _marker(shape: str, x: float, y: float, fill: str) -> str:
@@ -111,15 +105,14 @@ def scatter_svg(summaries: Mapping[str, Sequence[RuleSummary]]) -> str:
     for dataset in datasets:
         for s in summaries[dataset]:
             x, y = _xy(float(s.util_mean), float(s.rep_mean))
-            shape = _SHAPES.get(s.rule, "circle")
-            parts.append(_marker(shape, x, y, fills[dataset]))
+            parts.append(_marker(_shape(s.rule), x, y, fills[dataset]))
 
     # legend: rules (shapes) then datasets (fills)
     ly = _MARGIN + 6
     lx = _MARGIN + _PLOT + 4
     rules = sorted({s.rule for v in summaries.values() for s in v})
     for rule in rules:
-        parts.append(_marker(_SHAPES.get(rule, "circle"), lx + 8, ly, "#999999"))
+        parts.append(_marker(_shape(rule), lx + 8, ly, "#999999"))
         parts.append(f'<text x="{lx + 20}" y="{_fmt(ly + 4)}" '
                      f'font-size="11">{rule}</text>')
         ly += 18

@@ -2,21 +2,23 @@
 
 Contains the greedy harmonic-score heuristic (`seq_pav`), the equal-shares
 rule (`rule_x`) built on a per-project payment-threshold computation
-(`q_value`), and two budget-exhausting completions: a vanishing-uniform-gain
-phase (`rule_x_eps`) and an exact harmonic-score run on the residual budget
-(`rule_x_pav`).
+(`q_value`), and two budget-exhausting completions: a phase that charges
+every voter alike, the epsilon->0 limit of RX-eps (`rule_x_eps`), and an
+exact harmonic-score run on the residual budget (`rule_x_pav`).  Equal
+shares here has approval utilities only: 1 for an approved project, 0
+otherwise.
 
 The rules run over weighted ballot groups (`core.group_ballots`), and each
-project only looks at the groups that have a positive utility for it.  The
-grouping is exact: voters with identical ballots are charged identically in
-every round, so their budgets stay identical, and a group of w voters with
-budget b each pays w times a voter's charge.  Per-voter payment records in an
-`EqualSharesTrace` are expanded from the groups only when a trace is asked
-for.
+project only looks at the groups that approve it.  The grouping is exact:
+voters with identical ballots are charged identically in every round, so
+their budgets stay identical, and a group of w voters with budget b each pays
+w times a voter's charge.  Per-voter payment records in an `EqualSharesTrace`
+are expanded from the groups only when a trace is asked for.
 
 The payment threshold q of a project is the least q with
-sum_g w_g * min(b_g, u_g * q) >= cost.  It is found with one scan over the
-groups sorted by the breakpoint b_g / u_g: a group whose breakpoint lies
+sum_g w_g * min(b_g, q) >= cost over its approver groups.  It is found with
+one scan over the groups sorted by the breakpoint b_g (b_g / u_g for the
+general utilities of `q_value`): a group whose breakpoint lies
 below the rate that the still-uncapped groups would need pays its whole
 budget and drops out; the first group that does not drop out fixes q, since
 every later group has a breakpoint at least as large and is not capped at q
@@ -30,8 +32,8 @@ bound on its current key.  Keys sit in a heap; the top key is evaluated
 afresh, and a project is funded once its fresh key is still the smallest
 stored key.  This funds exactly the project with minimal q, then the cheaper
 one, then the smaller id, as a full scan of all projects would.  In the
-exhaustion phase of `rule_x_eps` every voter has utility 1 for every
-project, so that order is simply (cost, id) and only funded projects need a
+exhaustion phase of `rule_x_eps` every voter pays alike for every project,
+so that order is simply (cost, id) and only funded projects need a
 breakpoint scan.
 """
 
@@ -108,31 +110,26 @@ class _Groups:
         self.budgets = [instance.budget / n] * len(self.ballots)
         self.money = [b * w for b, w in zip(self.budgets, self.weights)]
 
-    def utilities(self, outside) -> dict[str, list[tuple[int, Fraction | int]]]:
-        """Each project's (group, utility) pairs with a positive utility:
-        1 for approvers, `outside` for everyone else."""
-        return {p.id: [(g, 1 if p.id in ballot else outside)
-                       for g, ballot in enumerate(self.ballots)
-                       if outside or p.id in ballot]
-                for p in self.instance.projects}
-
     def _q(self, pid: str, members) -> Optional[Fraction]:
         budgets, money, weights = self.budgets, self.money, self.weights
         return _threshold(self.instance.cost(pid), [
-            (budgets[g], money[g], weights[g]) if u == 1
-            else (budgets[g] / u, money[g], u * weights[g])
-            for g, u in members if budgets[g]])
+            (budgets[g], money[g], weights[g]) for g in members if budgets[g]])
 
-    def fund(self, members: dict[str, list[tuple[int, Fraction | int]]],
-             candidates, trace: Optional[EqualSharesTrace]) -> list[str]:
-        """Repeatedly fund the candidate with minimal finite q.
+    def fund(self, trace: Optional[EqualSharesTrace]) -> list[str]:
+        """Repeatedly fund the project with minimal finite q.
 
-        Ties on q go to the cheaper project, then to the lexicographically
-        smaller id.  Group budgets are charged in place.
+        Only a project's approver groups pay for it.  Ties on q go to the
+        cheaper project, then to the lexicographically smaller id.  Group
+        budgets are charged in place.
         """
+        members: dict[str, list[int]] = {
+            pid: [] for pid in self.instance.project_ids}
+        for g, ballot in enumerate(self.ballots):
+            for pid in ballot:
+                members[pid].append(g)
         cost = self.instance.cost
         heap = []
-        for pid in candidates:
+        for pid in members:
             q = self._q(pid, members[pid])
             if q is not None:
                 heap.append((q, cost(pid), pid, 0))
@@ -155,7 +152,7 @@ class _Groups:
 
     def exhaust(self, candidates, trace: Optional[EqualSharesTrace]
                 ) -> list[str]:
-        """`fund` with utility 1 for every voter and every candidate.
+        """`fund` with every group paying for every candidate.
 
         All candidates then share one set of groups, and q rises strictly
         with cost, so the (q, cost, id) order is the (cost, id) order.  A
@@ -163,7 +160,7 @@ class _Groups:
         one that does not fit stays unaffordable, since money only falls.
         Only the funded candidates need their q, one breakpoint sort each.
         """
-        everyone = [(g, 1) for g in range(len(self.ballots))]
+        everyone = range(len(self.ballots))
         funded: list[str] = []
         for pid in sorted(candidates, key=lambda p: (self.instance.cost(p), p)):
             if self.instance.cost(pid) > sum(self.money):
@@ -177,8 +174,8 @@ class _Groups:
     def _charge(self, pid: str, members, q: Fraction,
                 trace: Optional[EqualSharesTrace]):
         paid = {}
-        for g, u in members:
-            charge = min(self.budgets[g], u * q)
+        for g in members:
+            charge = min(self.budgets[g], q)
             if charge:
                 self.budgets[g] -= charge
                 self.money[g] = self.budgets[g] * self.weights[g]
@@ -201,37 +198,23 @@ def rule_x(instance: PBInstance, profile: ApprovalProfile,
     in order of their minimal payment rate q, each approver paying
     min(remaining budget, q) until no project remains affordable.
     """
-    groups = _Groups(instance, profile)
-    return frozenset(groups.fund(groups.utilities(0), instance.project_ids,
-                                 trace))
+    return frozenset(_Groups(instance, profile).fund(trace))
 
 
-def rule_x_eps(instance: PBInstance, profile: ApprovalProfile,
-               mode: str = "limit",
+def rule_x_eps(instance: PBInstance, profile: ApprovalProfile, *,
                trace: Optional[EqualSharesTrace] = None) -> frozenset:
-    """Equal shares followed by budget exhaustion via vanishing uniform gains.
+    """Equal shares followed by budget exhaustion, in the epsilon->0 limit.
 
-    mode="limit" runs the exact epsilon->0 limit: after the approval phase,
-    leftover money funds further projects at a uniform per-voter threshold r,
-    picking the project with minimal r and charging min(b_i, r) to everyone.
-    mode="fixed:<rational>" instead runs a single generalized pass where
-    non-approvers have the given small utility; it exists to cross-check the
-    limit semantics and should agree for sufficiently small values.
+    After the approval phase, leftover money funds further projects at a
+    uniform per-voter threshold r, picking the project with minimal r and
+    charging min(b_i, r) to everyone.  This is not one equal-shares pass with
+    a fixed small utility for non-approvers: there approvers spend their
+    whole budgets first, and the funded set can differ at every epsilon.
     """
-    if mode == "limit":
-        groups = _Groups(instance, profile)
-        funded = groups.fund(groups.utilities(0), instance.project_ids, trace)
-        rest = [pid for pid in instance.project_ids if pid not in funded]
-        extra = groups.exhaust(rest, trace)
-        return frozenset(funded) | frozenset(extra)
-    if mode.startswith("fixed:"):
-        eps = Fraction(mode.split(":", 1)[1])
-        if not 0 < eps < 1:
-            raise ValueError("fixed epsilon must lie in (0, 1)")
-        groups = _Groups(instance, profile)
-        return frozenset(groups.fund(groups.utilities(eps),
-                                     instance.project_ids, trace))
-    raise ValueError(f"unknown mode {mode!r}")
+    groups = _Groups(instance, profile)
+    funded = groups.fund(trace)
+    rest = [pid for pid in instance.project_ids if pid not in funded]
+    return frozenset(funded) | frozenset(groups.exhaust(rest, trace))
 
 
 def rule_x_pav(instance: PBInstance, profile: ApprovalProfile,

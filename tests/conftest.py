@@ -158,6 +158,37 @@ def oracle_q(cost, budgets, utilities):
     raise AssertionError("no segment solved; inputs degenerate")
 
 
+def oracle_equal_shares_eps(instance: PBInstance, profile: ApprovalProfile,
+                            eps: Fraction) -> frozenset:
+    """One equal-shares pass, voter by voter, where non-approvers have
+    utility `eps` and approvers utility 1.
+
+    Each round funds the project with minimal `oracle_q` threshold (ties to
+    the cheaper project, then the smaller id) and charges every voter
+    min(budget, utility * q).  For a small `eps` this approximates the
+    limit that `rule_x_eps` runs, but the two can fund different projects.
+    """
+    n = profile.n_voters
+    budgets = [Fraction(instance.budget, n)] * n
+    funded: set[str] = set()
+    while True:
+        best = None
+        for p in instance.projects:
+            if p.id in funded:
+                continue
+            utils = [1 if p.id in ballot else eps
+                     for ballot in profile.ballots]
+            q = oracle_q(p.cost, budgets, utils)
+            if q is not None and (best is None
+                                  or (q, p.cost, p.id) < best[:3]):
+                best = (q, p.cost, p.id, utils)
+        if best is None:
+            return frozenset(funded)
+        q, _, pid, utils = best
+        budgets = [b - min(b, u * q) for b, u in zip(budgets, utils)]
+        funded.add(pid)
+
+
 # ---------------------------------------------------------------------------
 # random small instances for oracle comparisons
 

@@ -3,10 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from pbvoting.bench import (ExperimentSpec, ResultRow, RuleSummary,
-                            aggregate, format_ratio, parse_config,
-                            rows_to_csv, run_experiment, spec_from_config,
-                            summaries_to_csv)
+from pbvoting import bench, plotting
+from pbvoting.bench import (RULE_NAMES, RULES, ExperimentSpec, ResultRow,
+                            RuleSummary, aggregate, format_ratio,
+                            parse_config, rows_to_csv, run_experiment,
+                            run_rule, spec_from_config, summaries_to_csv)
+from pbvoting.core import is_feasible
+from pbvoting.exact import SearchBudget, TieBreakPolicy
+from pbvoting.instances import tiny
 from pbvoting.plotting import scatter_svg
 
 DATA = Path(__file__).parent / "data"
@@ -160,3 +164,36 @@ def test_scatter_marker_count():
     assert svg.count("<rect") >= 1 + 1 + 2  # CC marker, legend fills, frames
     with pytest.raises(ValueError):
         scatter_svg({})
+
+
+def test_every_rule_runs_through_the_table():
+    inst, prof = tiny()
+    for rule in RULE_NAMES:
+        bundle = run_rule(rule, inst, prof, TieBreakPolicy.lex(),
+                          SearchBudget())
+        assert bundle and is_feasible(inst, bundle), rule
+    with pytest.raises(ValueError, match="choose from"):
+        run_rule("XYZ", inst, prof, TieBreakPolicy.lex(), SearchBudget())
+
+
+def test_rule_table_looks_its_functions_up_at_call_time(monkeypatch):
+    # code that rebinds bench.solve_cc or bench.rule_x_eps must see the calls
+    calls = []
+    monkeypatch.setattr(bench, "solve_cc",
+                        lambda *a: calls.append("CC") or frozenset({"cc"}))
+    monkeypatch.setattr(bench, "rule_x_eps",
+                        lambda *a: calls.append("RX-eps") or frozenset({"x"}))
+    inst, prof = tiny()
+    policy, budget = TieBreakPolicy.lex(), SearchBudget()
+    assert run_rule("CC", inst, prof, policy, budget) == {"cc"}
+    assert run_rule("RX-eps", inst, prof, policy, budget) == {"x"}
+    assert calls == ["CC", "RX-eps"]
+
+
+def test_rule_markers_are_distinct_and_render():
+    markers = [RULES[rule].marker for rule in RULE_NAMES]
+    assert len(set(markers)) == len(RULE_NAMES) == 7
+    for shape in markers:
+        assert plotting._marker(shape, 10.0, 10.0, "#000000").startswith("<")
+    assert plotting._shape("not-a-rule") == "circle"
+

@@ -21,3 +21,20 @@ def test_solve_runs_a_pabulib_sized_election(tmp_path, capsys):
                  "--max-nodes", "10000"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("instance    large\nrule        RX\n")
+
+
+def test_solve_reports_a_node_budget_failure(capsys):
+    # city's CC takes 979 nodes in its one pass
+    assert main(["solve", "--dataset", "city", "--rule", "CC",
+                 "--max-nodes", "500"]) == 1
+    assert capsys.readouterr().err == (
+        "error: exceeded search budget of 500 nodes in the ties phase of "
+        "the rp search\n")
+
+
+def test_bench_reports_a_node_budget_failure_of_every_row(capsys):
+    assert main(["bench", "--dataset", "city", "--rules", "CC",
+                 "--max-nodes", "10"]) == 1
+    assert capsys.readouterr().err == (
+        "error: every row failed; first failure: optima: exceeded search "
+        "budget of 10 nodes in the optimum phase of the sw search\n")

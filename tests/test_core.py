@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from pbvoting.core import (ApprovalProfile, DegenerateInstanceError,
-                           OutcomeReport, PBInstance, Project,
+import pbvoting
+from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            UnknownProjectError, harmonic, is_feasible,
-                           pav_score, ratios, representation, social_welfare)
+                           pav_score, representation, social_welfare)
 
 
 def test_project_rejects_non_positive_cost():
@@ -80,23 +80,6 @@ def test_empty_ballots_contribute_nothing():
     assert pav_score(prof, {"p"}) == 1
 
 
-def test_ratios(city_pair):
-    inst, prof = city_pair
-    five_g_three_e = frozenset(
-        {f"A-g{i}" for i in range(5)} | {f"B-e{i}" for i in range(3)})
-    util, rep = ratios(inst, prof, five_g_three_e, 800, 200)
-    assert util == Fraction(77, 80) and rep == Fraction(19, 20)
-    with pytest.raises(DegenerateInstanceError):
-        ratios(inst, prof, five_g_three_e, 0, 200)
-
-
-def test_outcome_report_invariants():
-    with pytest.raises(ValueError):
-        OutcomeReport("AV", frozenset(), 1, 2, Fraction(1), Fraction(1),
-                      Fraction(1), "satisfied")  # rp > sw
-    with pytest.raises(ValueError):
-        OutcomeReport("AV", frozenset(), 2, 1, Fraction(1), Fraction(3, 2),
-                      Fraction(1), "satisfied")  # ratio > 1
-    report = OutcomeReport("AV", frozenset({"p"}), 2, 1, Fraction(1),
-                           Fraction(1), Fraction(1, 2), "violated")
-    assert report.rule == "AV"
+def test_every_exported_name_resolves():
+    for name in pbvoting.__all__:
+        assert hasattr(pbvoting, name), name

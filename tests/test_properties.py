@@ -173,8 +173,7 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
 
 
 def _outcomes(inst, prof):
-    return (rule_x(inst, prof), rule_x_eps(inst, prof),
-            rule_x_eps(inst, prof, "fixed:1/1000"), seq_pav(inst, prof),
+    return (rule_x(inst, prof), rule_x_eps(inst, prof), seq_pav(inst, prof),
             seq_pav(inst, prof, TieBreakPolicy.random_seeded(3)))
 
 

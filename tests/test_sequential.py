@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_q, random_instance
+from conftest import oracle_equal_shares_eps, oracle_q, random_instance
 from pbvoting.core import representation, social_welfare
 from pbvoting.exact import TieBreakPolicy
 from pbvoting.sequential import (EqualSharesTrace, q_value, rule_x,
@@ -101,11 +101,12 @@ def test_rule_x_eps_fixed_agrees_when_approval_phase_exhausts():
         if prof.n_voters == 0:
             continue
         base = rule_x(inst, prof)
-        limit = rule_x_eps(inst, prof, "limit")
+        limit = rule_x_eps(inst, prof)
         if limit != base:
             continue
         checked += 1
-        assert rule_x_eps(inst, prof, "fixed:1/100000000") == base, seed
+        assert oracle_equal_shares_eps(inst, prof,
+                                       Fraction(1, 10 ** 8)) == base, seed
     assert checked >= 10
 
 
@@ -121,17 +122,10 @@ def test_rule_x_eps_mode_divergence_is_pinned():
     prof = ApprovalProfile((frozenset({"p00", "p01"}), frozenset({"p01"}),
                             frozenset({"p00", "p01"}), frozenset()))
     assert rule_x(inst, prof) == frozenset()
-    assert rule_x_eps(inst, prof, "limit") == {"p00"}
-    assert rule_x_eps(inst, prof, "fixed:1/1000") == {"p01"}
-    assert rule_x_eps(inst, prof, "fixed:1/100000000") == {"p01"}
-
-
-def test_rule_x_eps_mode_validation(city_pair):
-    inst, prof = city_pair
-    with pytest.raises(ValueError):
-        rule_x_eps(inst, prof, "fixed:2")
-    with pytest.raises(ValueError):
-        rule_x_eps(inst, prof, "bogus")
+    assert rule_x_eps(inst, prof) == {"p00"}
+    assert oracle_equal_shares_eps(inst, prof, Fraction(1, 1000)) == {"p01"}
+    assert oracle_equal_shares_eps(inst, prof,
+                                   Fraction(1, 10 ** 8)) == {"p01"}
 
 
 def test_rule_x_variants_are_supersets():
@@ -156,6 +150,29 @@ def test_rule_x_eps_exhausts_budget():
         residual = inst.budget - inst.cost_of(bundle)
         assert all(p.cost > residual
                    for p in inst.projects if p.id not in bundle), seed
+
+
+def test_rule_x_eps_trace_accounts_for_every_payment(city_pair):
+    elections = [city_pair] + [random_instance(seed, max_projects=9)
+                               for seed in range(60)]
+    exhausted = 0
+    for k, (inst, prof) in enumerate(elections):
+        trace = EqualSharesTrace()
+        bundle = rule_x_eps(inst, prof, trace=trace)
+        exhausted += bundle != rule_x(inst, prof)
+        assert set(trace.funded) == bundle, k
+        assert len(trace.funded) == len(bundle), k
+        # exhaustion-phase projects are paid for in full as well
+        for pid in trace.funded:
+            assert sum(trace.charges[pid]) == inst.cost(pid), (k, pid)
+        assert len(trace.final_budgets) == prof.n_voters
+        assert all(b >= 0 for b in trace.final_budgets), k
+        assert sum(trace.final_budgets) + inst.cost_of(bundle) == \
+            inst.budget, k
+    assert exhausted >= 10
+    # the trace is keyword-only: a positional third argument is an error
+    with pytest.raises(TypeError):
+        rule_x_eps(inst, prof, "limit")
 
 
 def test_seq_pav_on_city(city_pair):
