@@ -5,9 +5,8 @@ from .core import (ApprovalProfile, Bundle, PBInstance, Project,
                    representation, social_welfare)
 from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
                     optimum_value, solve_av, solve_cc, solve_pav)
-from .fairness import (CappedSearchError, CohesiveWitness, EjrVerdict,
-                       default_t_cap, ejr_percentage, find_ejr_violation,
-                       is_cohesive, max_t_cap)
+from .fairness import (CohesiveWitness, EjrVerdict, default_t_cap,
+                       find_ejr_violation, is_cohesive, max_t_cap)
 from .sequential import (EqualSharesTrace, q_value, rule_x, rule_x_eps,
                          rule_x_pav, seq_pav)
 
@@ -19,8 +18,8 @@ __all__ = [
     "representation", "social_welfare",
     "SearchBudget", "SearchBudgetExceeded", "TieBreakPolicy", "optimum_value",
     "solve_av", "solve_cc", "solve_pav",
-    "CappedSearchError", "CohesiveWitness", "EjrVerdict", "default_t_cap",
-    "ejr_percentage", "find_ejr_violation", "is_cohesive", "max_t_cap",
+    "CohesiveWitness", "EjrVerdict", "default_t_cap", "find_ejr_violation",
+    "is_cohesive", "max_t_cap",
     "EqualSharesTrace", "q_value", "rule_x", "rule_x_eps", "rule_x_pav",
     "seq_pav", "__version__",
 ]

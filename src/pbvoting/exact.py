@@ -29,13 +29,14 @@ ordered by exact density (v times lcm(costs)/c, an integer); a rounded order
 could take a worse item first and make the bound inadmissible.
 
 For rp and pav the bound is also capped per group.  A group of w voters with
-c funded approvals and a affordable undecided ones can gain at most
-w * (harm[c+a] - harm[c]), whatever the budget.  For pav that is the
+c funded approvals and a live ones (undecided and affordable) can gain at
+most w * (harm[c+a] - harm[c]), whatever the budget.  For pav that is the
 harmonic cap, tighter than summing each project's gain because later projects
 add diminishing increments.  For rp (gains 1, 0, 0, ...) it is the union
-bound: the weight of the uncovered groups that some affordable undecided
-project still reaches.  The knapsack alone counts such a group once for each
-of its affordable projects, however few of them fit together.
+bound: the weight of the uncovered groups that some live project still
+reaches.  The knapsack alone counts such a group once for each of its live
+projects, however few of them fit together.  A node is pruned when either
+bound falls below the cut.
 
 `optimum_value` prunes a branch when floor(bound) <= best, which cuts more
 than the unfloored test.  A `solve_*` call makes one pass that finds the
@@ -53,15 +54,23 @@ worst-sw/worst-rp cut on the secondary score fires only where
 floor(bound) <= incumbent: a branch that may still beat the incumbent can
 hold the optimum, whatever its secondary score.
 
-Each undecided project's marginal gain is kept up to date as projects are
-funded and taken back, so a bound is one pass over the undecided projects
-plus one over their approvers for the per-group cap.
+A bound is one pass over the live projects, with no recount of their
+approvers.  rp keeps the covered voters as a bitset in which a group of w
+voters owns w bits, with one mask per project: a live project's gain is
+popcount(mask & ~covered) and the union bound is
+popcount(OR of the live masks & ~covered).  sw gains are static.  pav keeps
+the marginal gain of each project after the last one funded up to date as
+projects are funded and taken back, and it keeps each group's a and the cap
+itself: funding a live project leaves c + a and so the cap unchanged, and
+passing a project, or pricing one out when the residual falls, lowers the
+cap by w * gain[c + a - 1] for each group that approves it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -116,11 +125,30 @@ class SearchBudget:
             raise ValueError("max_nodes must be positive")
 
 
+@dataclass
+class SearchStats:
+    """What one `_Search` did; every count is deterministic for its input.
+
+    `cap_prunes` counts the prunes where the knapsack bound reached the cut
+    and only the per-group cap fell below it.  `optima` counts the maximal
+    leaves of `select` that tie its final incumbent: the whole tie set, up
+    to symmetry breaking, except where the worst-sw/worst-rp cut skips some.
+    `optimum` does not look for them and leaves it 0.
+    """
+    nodes: int = 0
+    knapsack_prunes: int = 0
+    cap_prunes: int = 0
+    leaves: int = 0
+    optima: int = 0
+
+
 class _Search:
     """One branch-and-bound context; the node budget spans every search on it.
 
     All search state is integer: costs, the budget and the residual are in
     units of 1/D, harmonic scores in units of 1/L (see the module docstring).
+    A node (idx, residual) has decided projects 0..idx-1; its *live*
+    projects are the later ones that cost at most the residual.
     """
 
     def __init__(self, instance: PBInstance, profile: ApprovalProfile,
@@ -130,7 +158,7 @@ class _Search:
         self.objective = objective
         self.phase = "optimum"
         self.max_nodes = search_budget.max_nodes
-        self.nodes = 0
+        self.stats = SearchStats()
 
         ballots, weights = group_ballots(profile)
         self.weights = weights
@@ -188,31 +216,69 @@ class _Search:
                 self.prev_in_class[j] = last_seen[key]
             last_seen[key] = j
 
-        # mutable search state; value[j] is what funding project j alone
-        # would add to the objective now
-        self.counts = [0] * len(ballots)
+        # mutable search state
         self.chosen = [False] * self.m
         self.static = [static_val[pid] for pid in self.ids]
-        self.value = [v * self.gain[0] for v in self.static]
         self.score = 0
         self.sw = 0
         self.rp = 0
+        if objective == "rp":
+            # a bitset over voters: group g owns weights[g] contiguous bits,
+            # so a popcount counts voters with their weights
+            self.masks = [0] * self.m
+            offset = 0
+            for w, approved in zip(weights, self.approved):
+                for j in approved:
+                    self.masks[j] |= ((1 << w) - 1) << offset
+                offset += w
+            self.voters = (1 << offset) - 1
+            self.covered = 0
+            self.saved: list[int] = []  # covered before each funded project
+        else:
+            # counts[g]: funded approvals of group g; value[j]: what funding
+            # project j alone would add to the objective now, kept for the
+            # projects after the last one funded
+            self.counts = [0] * len(ballots)
+            self.value = [v * self.gain[0] for v in self.static]
+        if objective == "pav":
+            # avail[g]: live projects that group g approves; ceiling: the
+            # per-group cap, kept as projects are funded and stop being live
+            self.avail = [sum(self.costs[j] <= self.budget for j in approved)
+                          for approved in self.approved]
+            self.ceiling = sum(w * self.harm[a]
+                               for w, a in zip(weights, self.avail))
 
     # -- state -------------------------------------------------------------
 
     def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
+        self.stats.nodes += 1
+        if self.stats.nodes > self.max_nodes:
             raise SearchBudgetExceeded(
                 f"exceeded search budget of {self.max_nodes} nodes "
                 f"in the {self.phase} phase of the {self.objective} search")
 
-    def _move(self, j: int, sign: int):
-        """Fund project j (sign 1) or take it back (sign -1)."""
+    def _fund(self, j: int, residual: int, sign: int) -> int:
+        """Fund live project j out of `residual` (sign 1), or take it back
+        (sign -1, with the same residual).  Returns residual - cost of j.
+
+        For pav, the projects that the smaller residual prices out stop
+        being live.
+        """
         adding = sign > 0
         self.chosen[j] = adding
+        self.sw += sign * self.static[j]
+        rest = residual - self.costs[j]
+        if self.objective == "rp":
+            if adding:
+                self.saved.append(self.covered)
+                self.covered |= self.masks[j]
+            else:
+                self.covered = self.saved.pop()
+            self.score = self.rp = self.covered.bit_count()
+            return rest
         counts, weights, gain, value = (self.counts, self.weights, self.gain,
                                         self.value)
+        pav = self.objective == "pav"
         covered = score = 0
         for g in self.approvers[j]:
             c = counts[g] - (not adding)  # the count without project j
@@ -221,37 +287,81 @@ class _Search:
             if c == 0:
                 covered += w
             score += w * gain[c]
-            step = gain[c + 1] - gain[c]
-            if step:
-                step *= sign * w
-                for k in self.approved[g]:
+            if pav:
+                # funding moves j from live to funded: c + a stays, and so
+                # does the ceiling
+                self.avail[g] -= sign
+                # only projects after j are read before j is taken back
+                step = (gain[c + 1] - gain[c]) * sign * w
+                approved = self.approved[g]
+                for k in approved[bisect_right(approved, j):]:
                     value[k] += step
-        self.sw += sign * self.static[j]
         self.rp += sign * covered
         self.score += sign * score
+        if pav:
+            costs = self.costs
+            for k in range(j + 1, self.m):
+                if rest < costs[k] <= residual:
+                    self._drop(k, sign)
+        return rest
 
-    def _bound(self, idx: int, residual: int, cut: int) -> int:
-        """Floor of the fractional-knapsack bound over projects idx.. .
-
-        For rp and pav the bound is also capped per group, unless the
-        knapsack bound alone is already below `cut`.
+    def _drop(self, j: int, sign: int):
+        """Live project j stops being live (sign 1), passed over or priced
+        out, or becomes live again (sign -1).  Only pav keeps state for it:
+        the ceiling falls by w * gain[c + a] per approving group, where a
+        counts the group's live projects without j.
         """
-        costs, value = self.costs, self.value
+        if self.objective != "pav":
+            return
+        counts, avail, weights, gain = (self.counts, self.avail, self.weights,
+                                        self.gain)
+        delta = 0
+        for g in self.approvers[j]:
+            a = avail[g] - (sign > 0)
+            avail[g] = a + (sign < 0)
+            delta += weights[g] * gain[counts[g] + a]
+        self.ceiling -= sign * delta
+
+    def _bound(self, idx: int, residual: int) -> tuple[int, int]:
+        """(floor of the fractional-knapsack bound, per-group cap) over the
+        live projects of node (idx, residual).
+
+        sw has no cap and repeats the knapsack bound in its place.
+        """
+        costs = self.costs
         if self.objective == "sw":
             # values are static, and the project order is by static density
+            value = self.value
             bound, r = self.score, residual
             for j in range(idx, self.m):
                 c = costs[j]
                 if c > residual:
                     continue
                 if c > r:
-                    return bound + value[j] * r // c
+                    bound += value[j] * r // c
+                    break
                 bound += value[j]
                 r -= c
-            return bound
-        items = sorted(((value[j] * self.density_scale[j], value[j], costs[j])
-                        for j in range(idx, self.m)
-                        if costs[j] <= residual and value[j]), reverse=True)
+            return bound, bound
+        scale = self.density_scale
+        if self.objective == "rp":
+            # the union bound (see the module docstring)
+            masks, free = self.masks, self.voters ^ self.covered
+            items, union = [], 0
+            for j in range(idx, self.m):
+                if costs[j] <= residual:
+                    union |= masks[j]
+                    v = (masks[j] & free).bit_count()
+                    if v:
+                        items.append((v * scale[j], v, costs[j]))
+            cap = self.score + (union & free).bit_count()
+        else:
+            value = self.value
+            items = [(value[j] * scale[j], value[j], costs[j])
+                     for j in range(idx, self.m)
+                     if costs[j] <= residual and value[j]]
+            cap = self.ceiling
+        items.sort(reverse=True)
         bound, r = self.score, residual
         for _, v, c in items:
             if c > r:
@@ -259,19 +369,7 @@ class _Search:
                 break
             bound += v
             r -= c
-        if bound < cut:
-            return bound
-        # per-group cap (see the module docstring): the harmonic cap for
-        # pav, the union bound for rp
-        avail: dict[int, int] = {}
-        for j in range(idx, self.m):
-            if costs[j] <= residual:
-                for g in self.approvers[j]:
-                    avail[g] = avail.get(g, 0) + 1
-        harm, counts, weights = self.harm, self.counts, self.weights
-        return min(bound, self.score + sum(
-            weights[g] * (harm[counts[g] + a] - harm[counts[g]])
-            for g, a in avail.items()))
+        return bound, cap
 
     def _is_maximal(self, residual: int) -> bool:
         for j in range(self.m):
@@ -313,21 +411,21 @@ class _Search:
         secondary = {"worst-sw": "sw", "worst-rp": "rp"}.get(variant)
         incumbent = self.score
         best: Optional[tuple] = None
-        seen = 0
+        stats = self.stats
 
         def leaf(residual):
-            nonlocal incumbent, best, seen
+            nonlocal incumbent, best
             if self.score > incumbent:
-                incumbent, best, seen = self.score, None, 0
+                incumbent, best, stats.optima = self.score, None, 0
                 if rng is not None:
                     rng.seed(policy.seed)
             if self.score < incumbent or not self._is_maximal(residual):
                 return
+            stats.optima += 1
             ids = tuple(sorted(self.ids[j] for j in range(self.m)
                                if self.chosen[j]))
             if rng is not None:
-                seen += 1
-                if rng.randrange(seen) == 0:
+                if rng.randrange(stats.optima) == 0:
                     best = (ids,)
                 return
             if secondary is not None:
@@ -355,17 +453,25 @@ class _Search:
         while idx < self.m and self.costs[idx] > residual:
             idx += 1  # forced exclusion: project no longer affordable
         if idx == self.m:
+            self.stats.leaves += 1
             leaf(residual)
             return
         c = cut()
-        if self._bound(idx, residual, c) < c:
+        knapsack, cap = self._bound(idx, residual)
+        if knapsack < c:
+            self.stats.knapsack_prunes += 1
+            return
+        if cap < c:
+            self.stats.cap_prunes += 1
             return
         prev = self.prev_in_class[idx]
         if prev is None or self.chosen[prev]:
-            self._move(idx, 1)
-            self._dfs(idx + 1, residual - self.costs[idx], leaf, cut)
-            self._move(idx, -1)
+            rest = self._fund(idx, residual, 1)
+            self._dfs(idx + 1, rest, leaf, cut)
+            self._fund(idx, residual, -1)
+        self._drop(idx, 1)
         self._dfs(idx + 1, residual, leaf, cut)
+        self._drop(idx, -1)
 
 
 def _solve(objective: str, instance: PBInstance, profile: ApprovalProfile,

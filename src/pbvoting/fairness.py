@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import ApprovalProfile, PBInstance, group_ballots
 
@@ -161,19 +161,3 @@ def _search(instance: PBInstance, profile: ApprovalProfile,
         return None
 
     return extend(0, under[depth], 0)
-
-
-class CappedSearchError(RuntimeError):
-    """An aggregate was requested over verdicts that include unknowns."""
-
-
-def ejr_percentage(verdicts: Sequence[EjrVerdict]) -> Fraction:
-    """Fraction of verdicts with status satisfied; errors on unknowns."""
-    if not verdicts:
-        raise ValueError("no verdicts given")
-    unknown = sum(1 for v in verdicts if v.status == "unknown")
-    if unknown:
-        raise CappedSearchError(
-            f"{unknown} verdict(s) hit the search cap; raise t_cap")
-    return Fraction(sum(1 for v in verdicts if v.status == "satisfied"),
-                    len(verdicts))

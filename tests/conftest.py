@@ -8,6 +8,8 @@ the fast implementations against these.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -54,6 +56,15 @@ def tiny_pair():
 def oracle_search(instance: PBInstance, profile: ApprovalProfile,
                   objective: str):
     """(optimal value, list of inclusion-maximal optimal bundles)."""
+    best, optima = _oracle_tables(instance, profile)[objective]
+    return best, list(optima)  # a copy: the tables are cached
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_tables(instance: PBInstance, profile: ApprovalProfile) -> dict:
+    """`oracle_search` for sw, rp and pav, from one enumeration of the
+    feasible subsets.  Callers ask for the three objectives of one election
+    in a row, so one cached election suffices."""
     ids = list(instance.project_ids)
     m = len(ids)
     costs = [instance.cost(pid) for pid in ids]
@@ -64,38 +75,37 @@ def oracle_search(instance: PBInstance, profile: ApprovalProfile,
             if pid in ballot:
                 mask |= 1 << j
         voter_masks.append(mask)
+    # harmonic scores in units of 1/lcm(1..m), so they add up as integers
+    unit = math.lcm(*range(1, m + 1))
+    harm = [int(harmonic(k) * unit) for k in range(m + 1)]
 
-    def value(mask):
-        if objective == "sw":
-            return sum((vm & mask).bit_count() for vm in voter_masks)
-        if objective == "rp":
-            return sum(1 for vm in voter_masks if vm & mask)
-        return sum((harmonic((vm & mask).bit_count()) for vm in voter_masks),
-                   Fraction(0))
+    # cost of each subset: that of the subset without its lowest project,
+    # plus that project's cost
+    cost = [Fraction(0)] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        cost[mask] = cost[mask ^ low] + costs[low.bit_length() - 1]
 
-    def cost(mask):
-        total = Fraction(0)
-        k = mask
-        while k:
-            low = k & -k
-            total += costs[low.bit_length() - 1]
-            k ^= low
-        return total
-
-    feasible = [mask for mask in range(1 << m)
-                if cost(mask) <= instance.budget]
-    best = max(value(mask) for mask in feasible)
-    optima = []
-    fset = set(feasible)
-    for mask in feasible:
-        if value(mask) != best:
-            continue
-        maximal = all((mask | (1 << j)) not in fset
-                      for j in range(m) if not mask & (1 << j))
-        if maximal:
-            optima.append(frozenset(ids[j] for j in range(m)
-                                    if mask & (1 << j)))
-    return best, optima
+    scored = []  # (mask, sw, rp, pav) of every feasible subset
+    for mask in range(1 << m):
+        if cost[mask] <= instance.budget:
+            funded = [(vm & mask).bit_count() for vm in voter_masks]
+            scored.append((mask, sum(funded), sum(1 for k in funded if k),
+                           sum(harm[k] for k in funded)))
+    objectives = ("sw", "rp", "pav")
+    best = [max(row[i] for row in scored) for i in (1, 2, 3)]
+    optima: dict[str, list] = {objective: [] for objective in objectives}
+    for mask, *values in scored:
+        hits = [objective for objective, value, top
+                in zip(objectives, values, best) if value == top]
+        if hits and all(cost[mask | (1 << j)] > instance.budget
+                        for j in range(m) if not mask & (1 << j)):
+            bundle = frozenset(ids[j] for j in range(m) if mask & (1 << j))
+            for objective in hits:
+                optima[objective].append(bundle)
+    best[2] = Fraction(best[2], unit)
+    return {objective: (top, optima[objective])
+            for objective, top in zip(objectives, best)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,23 @@ PINNED_NODES = {
 }
 
 
+# SearchStats of the optimum search and of the lex one pass:
+#   (nodes, knapsack prunes, cap prunes, leaves, maximal optima)
+PINNED_STATS = {
+    ("city", "sw"): ((32, 9, 0, 5, 0), (32, 9, 0, 5, 1)),
+    ("city", "rp"): ((19, 0, 8, 2, 0), (979, 22, 1, 377, 78)),
+    ("city", "pav"): ((114, 23, 9, 5, 0), (121, 22, 10, 7, 2)),
+    ("euclidean-desk-1", "sw"): ((31, 13, 0, 3, 0), (31, 13, 0, 3, 2)),
+    ("euclidean-desk-1", "rp"): ((285, 91, 33, 19, 0),
+                                 (921, 250, 70, 141, 28)),
+    ("euclidean-desk-1", "pav"): ((129, 58, 0, 7, 0), (129, 58, 0, 7, 1)),
+    ("euclidean-desk-2", "sw"): ((23, 10, 0, 2, 0), (27, 10, 0, 4, 3)),
+    ("euclidean-desk-2", "rp"): ((401, 94, 91, 16, 0),
+                                 (1637, 323, 79, 417, 68)),
+    ("euclidean-desk-2", "pav"): ((57, 26, 1, 2, 0), (57, 26, 1, 2, 1)),
+}
+
+
 @pytest.mark.parametrize("name, objective", sorted(PINNED_NODES))
 def test_search_nodes_per_phase_are_pinned(name, objective):
     optimum_before, optimum, before, one_pass = PINNED_NODES[name, objective]
@@ -207,10 +225,14 @@ def test_search_nodes_per_phase_are_pinned(name, objective):
                   else generate("euclidean-desk", int(name.rsplit("-", 1)[1])))
     search = _Search(inst, prof, objective, SearchBudget())
     search.optimum()
-    assert search.nodes == optimum
+    assert search.stats.nodes == optimum
+    stats = [search.stats]
     for policy, expected in zip((TieBreakPolicy.lex(),
                                  TieBreakPolicy.worst_sw(),
                                  TieBreakPolicy.worst_rp()), one_pass):
         search = _Search(inst, prof, objective, SearchBudget())
         search.select(policy)
-        assert search.nodes == expected, policy.variant
+        assert search.stats.nodes == expected, policy.variant
+        stats.append(search.stats)
+    assert (astuple(stats[0]), astuple(stats[1])) == \
+        PINNED_STATS[name, objective]

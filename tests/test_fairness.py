@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from conftest import oracle_ejr_violated, random_instance
 from pbvoting.core import ApprovalProfile, PBInstance, Project
 from pbvoting.exact import TieBreakPolicy, solve_av, solve_cc
-from pbvoting.fairness import (CappedSearchError, EjrVerdict, default_t_cap,
-                               ejr_percentage, find_ejr_violation,
+from pbvoting.fairness import (default_t_cap, find_ejr_violation,
                                is_cohesive, max_t_cap)
 
 
@@ -83,14 +80,3 @@ def test_matches_bruteforce_oracle_small_sample():
                 oracle_ejr_violated(inst, prof, bundle), (seed, bundle)
             checked += 1
     assert checked > 50
-
-
-def test_ejr_percentage():
-    sat = EjrVerdict("satisfied", 5)
-    vio = EjrVerdict("violated", 5)
-    unk = EjrVerdict("unknown", 2)
-    assert ejr_percentage([sat, sat, vio, sat]) == Fraction(3, 4)
-    with pytest.raises(CappedSearchError):
-        ejr_percentage([sat, unk])
-    with pytest.raises(ValueError):
-        ejr_percentage([])

@@ -144,11 +144,13 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
         unit = search.scale if objective == "pav" else 1
         idx = data.draw(st.integers(0, search.m))
         residual = search.budget
-        for j in range(idx):
-            if search.costs[j] <= residual and data.draw(st.booleans()):
-                search._move(j, 1)
-                residual -= search.costs[j]
-        bound = search._bound(idx, residual, 0)  # cut 0: the full bound
+        for j in range(idx):  # decide projects as `_dfs` does
+            if search.costs[j] <= residual:
+                if data.draw(st.booleans()):
+                    residual = search._fund(j, residual, 1)
+                else:
+                    search._drop(j, 1)
+        bound = min(search._bound(idx, residual))
 
         chosen = {search.ids[j] for j in range(idx) if search.chosen[j]}
         money = inst.budget - inst.cost_of(chosen)
@@ -170,6 +172,60 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
                              inst.cost(pid) <= money for pid in ballot
                              if pid in rest)]
             assert bound <= now + len(reachable)
+
+
+def _recounted_bound(search, idx, residual):
+    """(floored knapsack, per-group cap) of a node, counted from scratch."""
+    live = [j for j in range(idx, search.m) if search.costs[j] <= residual]
+    counts = [sum(search.chosen[j] for j in approved)
+              for approved in search.approved]
+    avail = [len(set(approved) & set(live)) for approved in search.approved]
+    weights, gain, harm = search.weights, search.gain, search.harm
+    score = sum(w * harm[c] for w, c in zip(weights, counts))
+    assert search.score == score
+    gains = [(sum(weights[g] * gain[counts[g]] for g in search.approvers[j]),
+              search.costs[j]) for j in live]
+    knapsack = math.floor(score + _knapsack_relaxation(gains, residual))
+    cap = score + sum(w * (harm[c + a] - harm[c])
+                      for w, c, a in zip(weights, counts, avail))
+    return knapsack, cap
+
+
+class _CheckedSearch(_Search):
+    """A search that recounts its bound from scratch at every node."""
+
+    def _bound(self, idx, residual):
+        knapsack, cap = super()._bound(idx, residual)
+        expected_knapsack, expected_cap = _recounted_bound(self, idx, residual)
+        assert knapsack == expected_knapsack
+        # sw has no cap of its own, and its per-group sum never undercuts
+        # the knapsack bound
+        assert cap == (knapsack if self.objective == "sw" else expected_cap)
+        assert min(knapsack, cap) == min(expected_knapsack, expected_cap)
+        return knapsack, cap
+
+
+def _assert_kept_bounds_are_exact(inst, prof):
+    policies = [TieBreakPolicy(variant) for variant in (
+        "lex-by-id", "cheapest-first", "worst-sw", "worst-rp")]
+    for objective in ("sw", "rp", "pav"):
+        _CheckedSearch(inst, prof, objective, SearchBudget()).optimum()
+        for policy in policies + [TieBreakPolicy.random_seeded(1)]:
+            _CheckedSearch(inst, prof, objective, SearchBudget()).select(
+                policy)
+
+
+@settings(max_examples=60)
+@given(mixed_unit_elections())
+def test_kept_bound_equals_a_recount_at_every_node(election):
+    # the rp bitsets and the pav ceiling are kept across funding, passing,
+    # pricing out and undoing; every node of every search must see the
+    # bound that a recount from the decided projects gives
+    _assert_kept_bounds_are_exact(*election)
+
+
+def test_kept_bound_equals_a_recount_at_every_node_of_city(city_pair):
+    _assert_kept_bounds_are_exact(*city_pair)
 
 
 def _outcomes(inst, prof):
