@@ -3,7 +3,8 @@
 A budgeting problem consists of a list of projects with positive costs, a
 global budget, and one approval ballot per voter.  Everything downstream
 (exact optimizers, sequential rules, proportionality checks) consumes the
-types and scoring functions defined here.
+types and scoring functions defined here, and the compiled form of an
+election (`compile_election`) that they all share.
 
 All arithmetic is exact: costs and budgets are :class:`fractions.Fraction`,
 scores are integers or fractions.  This matters because the worst-case
@@ -13,6 +14,8 @@ exact equality.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -119,18 +122,78 @@ class ApprovalProfile:
                 )
 
 
-def group_ballots(profile: ApprovalProfile) -> tuple[list[frozenset], list[int]]:
-    """Distinct ballots in canonical (sorted-id) order, with their counts.
+@dataclass(frozen=True)
+class Election:
+    """An instance and a profile prepared once for every rule, optimum and
+    audit; build it with :func:`compile_election`.
 
-    Voters with identical ballots are interchangeable for every score and
-    rule here, so the optimizers, the sequential rules and the EJR audit all
-    run over these weighted groups instead of individual voters.
+    Projects are numbered in instance order.  Voters with identical ballots
+    are interchangeable for every score and rule here, so the rules run over
+    weighted ballot groups: the distinct ballots, each an ascending tuple of
+    project numbers, in ascending order, with their voter counts.  Voter sets
+    are Python ints used as bitsets, bit i standing for voter i, so a
+    popcount counts voters.  Money is integral in units of 1/unit, where unit
+    is the least common multiple of the cost and budget denominators (100 for
+    cent-valued data).  Two projects are twins when they have the same cost
+    and approver set; `twins[k]` is the first project of k's class.
     """
-    weights: dict[frozenset, int] = {}
-    for ballot in profile.ballots:
-        weights[ballot] = weights.get(ballot, 0) + 1
-    ballots = sorted(weights, key=lambda b: tuple(sorted(b)))
-    return ballots, [weights[b] for b in ballots]
+
+    ballots: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+    group_of: tuple[int, ...]  # voter -> group
+    approvers: tuple[tuple[int, ...], ...]  # project -> groups, ascending
+    group_masks: tuple[int, ...]
+    project_masks: tuple[int, ...]
+    unit: int
+    costs: tuple[int, ...]
+    budget: int
+    twins: tuple[int, ...]
+
+
+def compile_election(instance: PBInstance,
+                     profile: ApprovalProfile) -> Election:
+    """The validated :class:`Election` of an instance and a profile.
+
+    Memoized by value, so the rules, optima and audits of one election share
+    one build.  Two elections are kept, so that the residual election of
+    `rule_x_pav` does not evict the one it came from.  The memo keeps each
+    voter's ballot as a tuple of project numbers, not the profile itself, so
+    it holds no copy of a profile alive.
+    """
+    profile.validate(instance)
+    index = {p.id: k for k, p in enumerate(instance.projects)}
+    return _compile(instance, tuple(tuple(sorted(map(index.__getitem__, b)))
+                                    for b in profile.ballots))
+
+
+@functools.lru_cache(maxsize=2)
+def _compile(instance: PBInstance, voters: tuple) -> Election:
+    ballots = sorted(set(voters))
+    group = {ballot: g for g, ballot in enumerate(ballots)}
+    group_of = tuple(group[ballot] for ballot in voters)
+    group_masks = [0] * len(ballots)
+    for i, g in enumerate(group_of):
+        group_masks[g] |= 1 << i
+    approver_lists: list[list[int]] = [[] for _ in instance.projects]
+    for g, ballot in enumerate(ballots):
+        for k in ballot:
+            approver_lists[k].append(g)
+    approvers = tuple(map(tuple, approver_lists))
+    unit = math.lcm(instance.budget.denominator,
+                    *(p.cost.denominator for p in instance.projects))
+    costs = tuple(int(p.cost * unit) for p in instance.projects)
+    first: dict[tuple, int] = {}
+    return Election(
+        ballots=tuple(ballots),
+        weights=tuple(mask.bit_count() for mask in group_masks),
+        group_of=group_of, approvers=approvers,
+        group_masks=tuple(group_masks),
+        # the groups are disjoint, so the sum of their masks is the union
+        project_masks=tuple(sum(group_masks[g] for g in groups)
+                            for groups in approvers),
+        unit=unit, costs=costs, budget=int(instance.budget * unit),
+        twins=tuple(first.setdefault(key, k)
+                    for k, key in enumerate(zip(costs, approvers))))
 
 
 def _check_bundle(instance: Optional[PBInstance], bundle: Iterable[str]):

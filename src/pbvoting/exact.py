@@ -2,9 +2,10 @@
 
 All three rules are solved by the same depth-first branch-and-bound over
 include/exclude decisions in a fixed project order, with an admissible
-fractional-knapsack bound on the residual budget.  Duplicate ballots are
-collapsed into weighted groups, which makes block-structured instances
-(all voters of a district voting alike) cheap to solve.
+fractional-knapsack bound on the residual budget.  The search reads the
+compiled election (`core.compile_election`): duplicate ballots are weighted
+groups, which makes block-structured instances (all voters of a district
+voting alike) cheap to solve.
 
 The outcome of a rule is the set of *inclusion-maximal* optimal bundles:
 bundles attaining the optimal objective to which no further project can be
@@ -14,11 +15,12 @@ same objective value) and matches how budget-exhausting outcomes are scored.
 The tie-break policy then selects a single bundle from that set, in the same
 search that finds the optimum, streaming over the set without storing it.
 
-The search runs on integers only.  Costs and the budget are multiplied by D,
-the least common multiple of their denominators (D = 100 for cent-valued
-data).  Harmonic scores are multiplied by L = lcm(1..K), where K is the
-longest ballot: a group of w voters with c funded approvals gains
-w * (L // (c+1)) from one more, and L * H(k) comes from a precomputed table.
+The search runs on integers only.  Costs and the budget are the compiled
+election's, multiplied by D, the least common multiple of their denominators
+(D = 100 for cent-valued data).  Harmonic scores are multiplied by
+L = lcm(1..K), where K is the longest ballot: a group of w voters with c
+funded approvals gains w * (L // (c+1)) from one more, and L * H(k) comes
+from a precomputed table.
 `optimum_value("pav")` divides by L again, so values and bundles at the API
 are the exact ones.
 
@@ -55,9 +57,9 @@ floor(bound) <= incumbent: a branch that may still beat the incumbent can
 hold the optimum, whatever its secondary score.
 
 A bound is one pass over the live projects, with no recount of their
-approvers.  rp keeps the covered voters as a bitset in which a group of w
-voters owns w bits, with one mask per project: a live project's gain is
-popcount(mask & ~covered) and the union bound is
+approvers.  rp keeps the covered voters as a bitset over voters, and each
+project's approvers as the compiled election's voter mask: a live project's
+gain is popcount(mask & ~covered) and the union bound is
 popcount(OR of the live masks & ~covered).  sw gains are static.  pav keeps
 the marginal gain of each project after the last one funded up to date as
 projects are funded and taken back, and it keeps each group's a and the cap
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import ApprovalProfile, PBInstance, group_ballots
+from .core import ApprovalProfile, PBInstance, compile_election
 
 _VARIANTS = ("worst-sw", "worst-rp", "random", "lex-by-id", "cheapest-first")
 
@@ -154,45 +156,36 @@ class _Search:
     def __init__(self, instance: PBInstance, profile: ApprovalProfile,
                  objective: str, search_budget: SearchBudget):
         assert objective in ("sw", "rp", "pav")
-        profile.validate(instance)
         self.objective = objective
         self.phase = "optimum"
         self.max_nodes = search_budget.max_nodes
         self.stats = SearchStats()
 
-        ballots, weights = group_ballots(profile)
-        self.weights = weights
-        static_val = {p.id: 0 for p in instance.projects}
-        for ballot, w in zip(ballots, weights):
-            for pid in ballot:
-                static_val[pid] += w
-
+        election = compile_election(instance, profile)
+        self.weights = election.weights
+        static = [mask.bit_count() for mask in election.project_masks]
         # fixed order: static approval density desc, then cost asc, then id
-        projects = sorted(instance.projects, key=lambda p: (
-            -Fraction(static_val[p.id]) / p.cost, p.cost, p.id))
-        self.ids = [p.id for p in projects]
-        self.m = len(projects)
-        unit = math.lcm(instance.budget.denominator,
-                        *(p.cost.denominator for p in projects))
-        self.budget = int(instance.budget * unit)
-        self.costs = [int(p.cost * unit) for p in projects]
+        order = sorted(range(len(static)), key=lambda k: (
+            -Fraction(static[k], election.costs[k]), election.costs[k],
+            instance.projects[k].id))
+        self.ids = [instance.projects[k].id for k in order]
+        self.m = len(order)
+        self.budget = election.budget
+        self.costs = [election.costs[k] for k in order]
         # v * density_scale[j] orders items by v / cost exactly
         common = math.lcm(*self.costs)
         self.density_scale = [common // c for c in self.costs]
-        idx_of = {pid: j for j, pid in enumerate(self.ids)}
-        self.approved = [sorted(idx_of[pid] for pid in ballot)
-                         for ballot in ballots]
-        self.approvers: list[list[int]] = [[] for _ in range(self.m)]
-        for g, approved in enumerate(self.approved):
-            for j in approved:
-                self.approvers[j].append(g)
+        self.approvers = [election.approvers[k] for k in order]
+        rank = {k: j for j, k in enumerate(order)}
+        self.approved = [sorted(rank[k] for k in ballot)
+                         for ballot in election.ballots]
 
         # gain[c]: what one voter with c funded approvals adds to the
         # objective when one more of them is funded, and harm[k] what k
         # funded approvals give a voter.  Harmonic scores are multiplied by
         # scale = L = lcm(1..K), which makes gain[c] = L/(c+1) integral and
         # harm[k] = L * H(k).
-        longest = max(map(len, ballots), default=0)
+        longest = max(map(len, election.ballots), default=0)
         self.scale = 1
         if objective == "sw":
             self.gain = [1] * (longest + 1)
@@ -205,40 +198,31 @@ class _Search:
         for g in self.gain:
             self.harm.append(self.harm[-1] + g)
 
-        # symmetry breaking: projects with identical cost and approver set
-        # are interchangeable, so within each class only canonical prefixes
+        # symmetry breaking: twins (see `core.Election`) are
+        # interchangeable, so within each class only canonical prefixes
         # (earlier project included before later) need exploring
-        last_seen: dict[tuple, int] = {}
+        last_seen: dict[int, int] = {}
         self.prev_in_class: list[Optional[int]] = [None] * self.m
-        for j in range(self.m):
-            key = (self.costs[j], tuple(self.approvers[j]))
-            if key in last_seen:
-                self.prev_in_class[j] = last_seen[key]
-            last_seen[key] = j
+        for j, k in enumerate(order):
+            self.prev_in_class[j] = last_seen.get(election.twins[k])
+            last_seen[election.twins[k]] = j
 
         # mutable search state
         self.chosen = [False] * self.m
-        self.static = [static_val[pid] for pid in self.ids]
+        self.static = [static[k] for k in order]
         self.score = 0
         self.sw = 0
         self.rp = 0
         if objective == "rp":
-            # a bitset over voters: group g owns weights[g] contiguous bits,
-            # so a popcount counts voters with their weights
-            self.masks = [0] * self.m
-            offset = 0
-            for w, approved in zip(weights, self.approved):
-                for j in approved:
-                    self.masks[j] |= ((1 << w) - 1) << offset
-                offset += w
-            self.voters = (1 << offset) - 1
+            self.masks = [election.project_masks[k] for k in order]
+            self.voters = sum(election.group_masks)  # groups are disjoint
             self.covered = 0
             self.saved: list[int] = []  # covered before each funded project
         else:
             # counts[g]: funded approvals of group g; value[j]: what funding
             # project j alone would add to the objective now, kept for the
             # projects after the last one funded
-            self.counts = [0] * len(ballots)
+            self.counts = [0] * len(self.weights)
             self.value = [v * self.gain[0] for v in self.static]
         if objective == "pav":
             # avail[g]: live projects that group g approves; ceiling: the
@@ -246,7 +230,7 @@ class _Search:
             self.avail = [sum(self.costs[j] <= self.budget for j in approved)
                           for approved in self.approved]
             self.ceiling = sum(w * self.harm[a]
-                               for w, a in zip(weights, self.avail))
+                               for w, a in zip(self.weights, self.avail))
 
     # -- state -------------------------------------------------------------
 
@@ -474,30 +458,25 @@ class _Search:
         self._drop(idx, -1)
 
 
-def _solve(objective: str, instance: PBInstance, profile: ApprovalProfile,
-           tiebreak: TieBreakPolicy, search_budget: SearchBudget) -> frozenset:
-    return _Search(instance, profile, objective, search_budget).select(tiebreak)
-
-
 def solve_av(instance: PBInstance, profile: ApprovalProfile,
              tiebreak: TieBreakPolicy = TieBreakPolicy.lex(),
              search_budget: SearchBudget = SearchBudget()) -> frozenset:
     """A feasible bundle with globally maximal social welfare."""
-    return _solve("sw", instance, profile, tiebreak, search_budget)
+    return _Search(instance, profile, "sw", search_budget).select(tiebreak)
 
 
 def solve_cc(instance: PBInstance, profile: ApprovalProfile,
              tiebreak: TieBreakPolicy = TieBreakPolicy.lex(),
              search_budget: SearchBudget = SearchBudget()) -> frozenset:
     """A feasible bundle with globally maximal representation."""
-    return _solve("rp", instance, profile, tiebreak, search_budget)
+    return _Search(instance, profile, "rp", search_budget).select(tiebreak)
 
 
 def solve_pav(instance: PBInstance, profile: ApprovalProfile,
               tiebreak: TieBreakPolicy = TieBreakPolicy.lex(),
               search_budget: SearchBudget = SearchBudget()) -> frozenset:
     """A feasible bundle with globally maximal harmonic (PAV) score."""
-    return _solve("pav", instance, profile, tiebreak, search_budget)
+    return _Search(instance, profile, "pav", search_budget).select(tiebreak)
 
 
 def optimum_value(objective: str, instance: PBInstance, profile: ApprovalProfile,

@@ -11,9 +11,10 @@ condition, and the entitlement must hold for *all* members, so for a fixed T
 the decisive group is the set of all under-represented supporters of T.  That
 collapses the search to one candidate S per T:
 AND(approvers of each project in T) & under[|T|], where under[k] holds the
-voters with fewer than k funded approvals.  Voter sets are Python ints used
-as bitsets; voters with identical ballots (`core.group_ballots`) share one
-mask while the bitsets are built.
+voters with fewer than k funded approvals.  Voter sets are the bitsets of the
+compiled election (`core.compile_election`): one mask per ballot group builds
+under[k], and one per project gives its approvers.  Costs and the budget are
+its integer money.
 
 T is grown depth-first, adding projects in instance order, so every set is
 visited at most once.  A branch is cut when
@@ -28,12 +29,10 @@ approves a larger T.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import ApprovalProfile, PBInstance, group_ballots
+from .core import ApprovalProfile, Election, PBInstance, compile_election
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,8 @@ def is_cohesive(instance: PBInstance, profile: ApprovalProfile,
         instance.cost(pid)  # raises UnknownProjectError if absent
     if not all(T <= profile.ballots[i] for i in S):
         return False
-    share = Fraction(instance.budget, profile.n_voters) * len(S)
+    # an empty voter set has share 0, also when there are no voters at all
+    share = instance.budget * len(S) / profile.n_voters if S else 0
     return share >= instance.cost_of(T)
 
 
@@ -89,7 +89,7 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
     violation is found, the status is "satisfied" only if t_cap covers every
     feasible witness size; otherwise it is "unknown".
     """
-    profile.validate(instance)
+    election = compile_election(instance, profile)
     funded = frozenset(bundle)
     for pid in funded:
         instance.cost(pid)
@@ -97,43 +97,32 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
         t_cap = default_t_cap(instance)
     if t_cap < 0:
         raise ValueError("t_cap must be non-negative")
-    witness = _search(instance, profile, funded, t_cap)
+    witness = _search(election, instance, funded, t_cap)
     if witness is not None:
         return EjrVerdict("violated", t_cap, witness)
     status = "satisfied" if t_cap >= max_t_cap(instance) else "unknown"
     return EjrVerdict(status, t_cap)
 
 
-def _search(instance: PBInstance, profile: ApprovalProfile,
-            funded: frozenset, t_cap: int) -> Optional[CohesiveWitness]:
+def _search(election: Election, instance: PBInstance, funded: frozenset,
+            t_cap: int) -> Optional[CohesiveWitness]:
     """Depth-first search over T in project order, with voter bitsets."""
-    n = profile.n_voters
-    ballots, _ = group_ballots(profile)
-    depth = min(t_cap, max((len(b) for b in ballots), default=0))
+    n = len(election.group_of)
+    depth = min(t_cap, max(map(len, election.ballots), default=0))
     if depth == 0:
         return None
-    # voters sharing a ballot share a bitmask
-    group_of = {ballot: g for g, ballot in enumerate(ballots)}
-    members = [0] * len(ballots)
-    for i, ballot in enumerate(profile.ballots):
-        members[group_of[ballot]] |= 1 << i
     # under[k]: voters with fewer than k funded approvals
     under = [0] * (depth + 1)
-    approvers = {p.id: 0 for p in instance.projects}
-    for ballot, mask in zip(ballots, members):
-        for k in range(len(ballot & funded) + 1, depth + 1):
+    is_funded = [p.id in funded for p in instance.projects]
+    for ballot, mask in zip(election.ballots, election.group_masks):
+        for k in range(sum(is_funded[j] for j in ballot) + 1, depth + 1):
             under[k] |= mask
-        for pid in ballot:
-            approvers[pid] |= mask
 
-    # integer money: scale costs and budget by their common denominator
-    scale = math.lcm(instance.budget.denominator,
-                     *(p.cost.denominator for p in instance.projects))
-    budget = int(instance.budget * scale)
+    budget = election.budget
     items = []
-    for p in instance.projects:
-        cost = int(p.cost * scale)
-        bits = approvers[p.id] & under[depth]
+    for p, cost, mask in zip(instance.projects, election.costs,
+                             election.project_masks):
+        bits = mask & under[depth]
         if budget * bits.bit_count() >= n * cost:
             items.append((p.id, cost, bits))
 

@@ -8,12 +8,14 @@ exact harmonic-score run on the residual budget (`rule_x_pav`).  Equal
 shares here has approval utilities only: 1 for an approved project, 0
 otherwise.
 
-The rules run over weighted ballot groups (`core.group_ballots`), and each
-project only looks at the groups that approve it.  The grouping is exact:
+The rules run over the weighted ballot groups of the compiled election
+(`core.compile_election`), and each project only looks at the groups that
+approve it.  The grouping is exact:
 voters with identical ballots are charged identically in every round, so
 their budgets stay identical, and a group of w voters with budget b each pays
 w times a voter's charge.  Per-voter payment records in an `EqualSharesTrace`
-are expanded from the groups only when a trace is asked for.
+are expanded from the groups, through the election's voter-to-group map, only
+when a trace is asked for.
 
 The payment threshold q of a project is the least q with
 sum_g w_g * min(b_g, q) >= cost over its approver groups.  It is found with
@@ -40,11 +42,12 @@ breakpoint scan.
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import ApprovalProfile, PBInstance, group_ballots
+from .core import ApprovalProfile, PBInstance, compile_election
 from .exact import SearchBudget, TieBreakPolicy, solve_pav
 
 
@@ -100,14 +103,13 @@ class _Groups:
     """Ballot groups with one shared per-voter budget each."""
 
     def __init__(self, instance: PBInstance, profile: ApprovalProfile):
-        profile.validate(instance)
+        self.election = compile_election(instance, profile)
         n = profile.n_voters
         if n == 0:
             raise ValueError("equal shares needs at least one voter")
         self.instance = instance
-        self.profile = profile
-        self.ballots, self.weights = group_ballots(profile)
-        self.budgets = [instance.budget / n] * len(self.ballots)
+        self.weights = self.election.weights
+        self.budgets = [instance.budget / n] * len(self.weights)
         self.money = [b * w for b, w in zip(self.budgets, self.weights)]
 
     def _q(self, pid: str, members) -> Optional[Fraction]:
@@ -122,29 +124,24 @@ class _Groups:
         cheaper project, then to the lexicographically smaller id.  Group
         budgets are charged in place.
         """
-        members: dict[str, list[int]] = {
-            pid: [] for pid in self.instance.project_ids}
-        for g, ballot in enumerate(self.ballots):
-            for pid in ballot:
-                members[pid].append(g)
-        cost = self.instance.cost
+        approvers = self.election.approvers
         heap = []
-        for pid in members:
-            q = self._q(pid, members[pid])
+        for k, p in enumerate(self.instance.projects):
+            q = self._q(p.id, approvers[k])
             if q is not None:
-                heap.append((q, cost(pid), pid, 0))
+                heap.append((q, p.cost, p.id, k, 0))
         heapq.heapify(heap)
         funded: list[str] = []
         while heap:
-            q, c, pid, stamp = heapq.heappop(heap)
+            q, c, pid, k, stamp = heapq.heappop(heap)
             if stamp != len(funded):
                 # evaluated before the last funding, so only a lower bound;
                 # a project that became unaffordable stays so and is dropped
-                q = self._q(pid, members[pid])
+                q = self._q(pid, approvers[k])
                 if q is not None:
-                    heapq.heappush(heap, (q, c, pid, len(funded)))
+                    heapq.heappush(heap, (q, c, pid, k, len(funded)))
                 continue
-            self._charge(pid, members[pid], q, trace)
+            self._charge(pid, approvers[k], q, trace)
             funded.append(pid)
         if trace is not None:
             trace.final_budgets = self._per_voter(self.budgets)
@@ -160,7 +157,7 @@ class _Groups:
         one that does not fit stays unaffordable, since money only falls.
         Only the funded candidates need their q, one breakpoint sort each.
         """
-        everyone = range(len(self.ballots))
+        everyone = range(len(self.weights))
         funded: list[str] = []
         for pid in sorted(candidates, key=lambda p: (self.instance.cost(p), p)):
             if self.instance.cost(pid) > sum(self.money):
@@ -183,11 +180,10 @@ class _Groups:
         if trace is not None:
             trace.funded.append(pid)
             trace.charges[pid] = self._per_voter(
-                [paid.get(g, Fraction(0)) for g in range(len(self.ballots))])
+                [paid.get(g, Fraction(0)) for g in range(len(self.weights))])
 
     def _per_voter(self, values: list) -> list:
-        index = {ballot: g for g, ballot in enumerate(self.ballots)}
-        return [values[index[ballot]] for ballot in self.profile.ballots]
+        return [values[g] for g in self.election.group_of]
 
 
 def rule_x(instance: PBInstance, profile: ApprovalProfile,
@@ -231,10 +227,8 @@ def rule_x_pav(instance: PBInstance, profile: ApprovalProfile,
     if not rest or residual < min(p.cost for p in rest):
         return first
     sub = PBInstance(projects=tuple(rest), budget=residual)
-    sub_profile = ApprovalProfile(tuple(
-        ballot & frozenset(p.id for p in rest) for ballot in profile.ballots))
-    extra = solve_pav(sub, sub_profile, tiebreak, search_budget)
-    return first | extra
+    sub_profile = ApprovalProfile(tuple(b - first for b in profile.ballots))
+    return first | solve_pav(sub, sub_profile, tiebreak, search_budget)
 
 
 def seq_pav(instance: PBInstance, profile: ApprovalProfile,
@@ -245,28 +239,23 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
     increment; stops when nothing fits.  Increment ties are resolved by the
     given policy (default: cheaper cost, then lexicographic id).
     """
-    profile.validate(instance)
-    import random as _random
-    rng = (_random.Random(tiebreak.seed)
+    election = compile_election(instance, profile)
+    rng = (random.Random(tiebreak.seed)
            if tiebreak.variant == "random" else None)
-    ballots, weights = group_ballots(profile)
-    approvers: dict[str, list[int]] = {p.id: [] for p in instance.projects}
-    for g, ballot in enumerate(ballots):
-        for pid in ballot:
-            approvers[pid].append(g)
-    counts = [0] * len(ballots)  # funded approved projects per group
+    weights = election.weights
+    counts = [0] * len(weights)  # funded approved projects per group
     chosen: set[str] = set()
     spent = Fraction(0)
     while True:
         residual = instance.budget - spent
         best_gain = None
         candidates = []
-        for p in instance.projects:
+        for p, approvers in zip(instance.projects, election.approvers):
             if p.id in chosen or p.cost > residual:
                 continue
             # voters with k funded approvals gain 1/(k+1) each
             weight_at: dict[int, int] = {}
-            for g in approvers[p.id]:
+            for g in approvers:
                 weight_at[counts[g]] = weight_at.get(counts[g], 0) + weights[g]
             gain = sum((Fraction(w, k + 1) for k, w in weight_at.items()),
                        Fraction(0))
@@ -280,7 +269,7 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
         pick = _pick_step(candidates, tiebreak, rng)
         chosen.add(pick.id)
         spent += pick.cost
-        for g in approvers[pick.id]:
+        for g in election.approvers[instance.projects.index(pick)]:
             counts[g] += 1
 
 

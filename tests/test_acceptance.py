@@ -24,7 +24,6 @@ from pbvoting.datagen import generate
 from pbvoting.exact import (TieBreakPolicy, optimum_value, solve_av, solve_cc,
                             solve_pav)
 from pbvoting.fairness import find_ejr_violation, max_t_cap
-from pbvoting.instances import city
 from pbvoting.pabulib import parse_pb, write_pb
 from pbvoting.plotting import scatter_svg
 from pbvoting.sequential import q_value, rule_x, rule_x_eps, seq_pav

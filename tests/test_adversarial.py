@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from pbvoting.adversarial import (AdversarialCase, Family, build,
-                                  default_sweeps, verify)
-from pbvoting.core import representation, social_welfare
-from pbvoting.exact import TieBreakPolicy, solve_av, solve_cc, optimum_value
+from pbvoting.adversarial import Family, build, default_sweeps, verify
+from pbvoting.core import social_welfare
+from pbvoting.exact import TieBreakPolicy, solve_cc, optimum_value
 from pbvoting.sequential import seq_pav
 
 

@@ -3,13 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from pbvoting import bench, plotting
+from pbvoting import bench, core, plotting
 from pbvoting.bench import (RULE_NAMES, RULES, ExperimentSpec, ResultRow,
                             RuleSummary, aggregate, format_ratio,
                             parse_config, rows_to_csv, run_experiment,
-                            run_rule, spec_from_config, summaries_to_csv)
+                            run_rule, spec_from_config)
 from pbvoting.core import is_feasible
+from pbvoting.datagen import generate
 from pbvoting.exact import SearchBudget, TieBreakPolicy
+from pbvoting.fairness import find_ejr_violation
 from pbvoting.instances import tiny
 from pbvoting.plotting import scatter_svg
 
@@ -174,6 +176,27 @@ def test_every_rule_runs_through_the_table():
         assert bundle and is_feasible(inst, bundle), rule
     with pytest.raises(ValueError, match="choose from"):
         run_rule("XYZ", inst, prof, TieBreakPolicy.lex(), SearchBudget())
+
+
+def test_an_experiment_compiles_each_election_once():
+    # 7 rules, their optima and 7 audits share one build; RX-PAV adds the
+    # build of its residual election, which must not evict the first
+    core._compile.cache_clear()
+    rows = run_experiment(ExperimentSpec("euclidean-desk", RULE_NAMES,
+                                         tiebreak="worst-sw"))
+    assert len(rows) == len(RULE_NAMES)
+    info = core._compile.cache_info()
+    assert (info.misses, info.hits) == (2, 13)
+
+
+@pytest.mark.parametrize("rule", RULE_NAMES)
+def test_a_rule_and_its_audit_share_one_build(rule):
+    inst, prof = generate("euclidean-desk", 0)
+    core._compile.cache_clear()
+    bundle = run_rule(rule, inst, prof, TieBreakPolicy.lex(), SearchBudget())
+    find_ejr_violation(inst, prof, bundle)
+    # equal shares leaves money that RX-PAV spends on a residual election
+    assert core._compile.cache_info().misses == 1 + (rule == "RX-PAV")
 
 
 def test_rule_table_looks_its_functions_up_at_call_time(monkeypatch):

@@ -25,6 +25,14 @@ def test_is_cohesive_validates_inputs(city_pair):
         is_cohesive(inst, prof, [999], {"A-g0"})
 
 
+def test_no_voters_have_share_zero(city_pair):
+    inst, _ = city_pair
+    nobody = ApprovalProfile(())
+    assert is_cohesive(inst, nobody, [], [])
+    assert not is_cohesive(inst, nobody, [], {"A-g0"})
+    assert find_ejr_violation(inst, nobody, []).status == "satisfied"
+
+
 def test_t_caps(city_pair):
     inst, _ = city_pair
     assert max_t_cap(inst) == 10  # 1000 // 100

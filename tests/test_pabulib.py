@@ -11,7 +11,6 @@ from conftest import random_instance
 from pbvoting.core import ApprovalProfile, PBInstance, Project
 from pbvoting.datagen import generate
 from pbvoting.exact import solve_av
-from pbvoting.instances import city
 from pbvoting.pabulib import (PabulibParseError, format_decimal, parse_pb,
                               write_pb)
 

@@ -1,5 +1,6 @@
-"""Property tests for the grouped equal-shares loop, grouped sPAV, the
-bitset EJR search and the integer branch and bound of the exact rules.
+"""Property tests for the compiled election, the grouped equal-shares loop,
+grouped sPAV, the bitset EJR search and the integer branch and bound of the
+exact rules.
 
 Elections are small and drawn from a small pool of ballots, so duplicate
 ballots and empty ballots are common; both change how voters are grouped.
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_ejr_violated, oracle_search
-from pbvoting.core import (ApprovalProfile, PBInstance, Project, pav_score,
-                           representation, social_welfare)
+from pbvoting.core import (ApprovalProfile, PBInstance, Project,
+                           compile_election, pav_score, representation,
+                           social_welfare)
 from pbvoting.exact import (SearchBudget, TieBreakPolicy, _Search,
                             optimum_value, solve_av, solve_cc, solve_pav)
 from pbvoting.fairness import find_ejr_violation, is_cohesive, max_t_cap
@@ -81,6 +83,43 @@ def mixed_unit_elections(draw):
     ballots = draw(st.lists(st.sampled_from(pool), max_size=8))
     instance = PBInstance(tuple(map(Project, ids, costs)), budget)
     return instance, ApprovalProfile(tuple(ballots))
+
+
+@given(mixed_unit_elections())
+def test_compiled_election_matches_a_recount_of_the_ballots(election):
+    inst, prof = election
+    e = compile_election(inst, prof)
+    n, ids = prof.n_voters, inst.project_ids
+    assert sum(e.weights) == n
+    ballots = [frozenset(ids[k] for k in ballot) for ballot in e.ballots]
+    assert len(set(ballots)) == len(ballots)
+    assert set(ballots) == set(prof.ballots)
+    assert list(e.ballots) == sorted(e.ballots)
+    assert all(list(ballot) == sorted(ballot) for ballot in e.ballots)
+    # the group masks partition the voters by ballot
+    assert [ballots[g] for g in e.group_of] == list(prof.ballots)
+    assert sum(mask.bit_count() for mask in e.group_masks) == n
+    for g, mask in enumerate(e.group_masks):
+        assert mask == sum(1 << i for i in range(n) if e.group_of[i] == g)
+        assert mask.bit_count() == e.weights[g]
+    for k, pid in enumerate(ids):
+        assert e.project_masks[k] == sum(
+            1 << i for i, ballot in enumerate(prof.ballots) if pid in ballot)
+        assert e.approvers[k] == tuple(
+            g for g, ballot in enumerate(ballots) if pid in ballot)
+    # money: integral in units of 1/unit, and in no coarser unit
+    amounts = [inst.budget] + [inst.cost(pid) for pid in ids]
+    assert [e.budget, *e.costs] == [a * e.unit for a in amounts]
+    for p in range(2, e.unit + 1):
+        if e.unit % p == 0 and all(p % d for d in range(2, p)):  # p prime
+            assert any((a * (e.unit // p)).denominator != 1 for a in amounts)
+    # twins: same cost and the same approvers, and nothing else
+    approvers = [frozenset(i for i, ballot in enumerate(prof.ballots)
+                           if pid in ballot) for pid in ids]
+    for k, l in itertools.combinations(range(len(ids)), 2):
+        assert (e.twins[k] == e.twins[l]) == (
+            inst.cost(ids[k]) == inst.cost(ids[l])
+            and approvers[k] == approvers[l])
 
 
 @settings(max_examples=200)
