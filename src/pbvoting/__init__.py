@@ -7,8 +7,8 @@ from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
                     optimum_value, solve_av, solve_cc, solve_pav)
 from .fairness import (CohesiveWitness, EjrVerdict, default_t_cap,
                        find_ejr_violation, is_cohesive, max_t_cap)
-from .sequential import (EqualSharesTrace, q_value, rule_x, rule_x_eps,
-                         rule_x_pav, seq_pav)
+from .sequential import (EqualSharesTrace, NoVotersError, q_value, rule_x,
+                         rule_x_eps, rule_x_pav, seq_pav)
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,6 @@ __all__ = [
     "solve_av", "solve_cc", "solve_pav",
     "CohesiveWitness", "EjrVerdict", "default_t_cap", "find_ejr_violation",
     "is_cohesive", "max_t_cap",
-    "EqualSharesTrace", "q_value", "rule_x", "rule_x_eps", "rule_x_pav",
-    "seq_pav", "__version__",
+    "EqualSharesTrace", "NoVotersError", "q_value", "rule_x", "rule_x_eps",
+    "rule_x_pav", "seq_pav", "__version__",
 ]

@@ -46,7 +46,8 @@ from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
 from .fairness import find_ejr_violation
 from .instances import city, tiny
 from .pabulib import parse_pb
-from .sequential import rule_x, rule_x_eps, rule_x_pav, seq_pav
+from .sequential import (NoVotersError, rule_x, rule_x_eps, rule_x_pav,
+                         seq_pav)
 
 CSV_COLUMNS = ("instance", "rule", "sw", "rp", "util_ratio", "rep_ratio",
                "ejr", "wall_ms", "reason")
@@ -199,7 +200,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             try:
                 bundle = run_rule(rule, inst, prof,
                                   _policy(spec, instance_id, rule), budget)
-            except SearchBudgetExceeded as e:
+            except (SearchBudgetExceeded, NoVotersError) as e:
                 outcomes[rule] = (None, None, str(e))
                 continue
             ms = (int(round((time.perf_counter() - t0) * 1000))

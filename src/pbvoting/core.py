@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -122,22 +123,29 @@ class ApprovalProfile:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Election:
     """An instance and a profile prepared once for every rule, optimum and
     audit; build it with :func:`compile_election`.
 
-    Projects are numbered in instance order.  Voters with identical ballots
-    are interchangeable for every score and rule here, so the rules run over
-    weighted ballot groups: the distinct ballots, each an ascending tuple of
-    project numbers, in ascending order, with their voter counts.  Voter sets
-    are Python ints used as bitsets, bit i standing for voter i, so a
-    popcount counts voters.  Money is integral in units of 1/unit, where unit
-    is the least common multiple of the cost and budget denominators (100 for
-    cent-valued data).  Two projects are twins when they have the same cost
-    and approver set; `twins[k]` is the first project of k's class.
+    Projects are numbered in instance order; `ids` holds their ids.  Voters
+    with identical ballots are interchangeable for every score and rule
+    here, so the rules run over weighted ballot groups: the distinct
+    ballots, each an ascending tuple of project numbers, in ascending order,
+    with their voter counts.  Voter sets are Python ints used as bitsets,
+    bit i standing for voter i, so a popcount counts voters.  Money is
+    integral in units of 1/unit, where unit is the least common multiple of
+    the cost and budget denominators (100 for cent-valued data).  Two
+    projects are twins when they have the same cost and approver set;
+    `twins[k]` is the first project of k's class.
+
+    Elections compare and hash by identity, so an election keys a memo at
+    O(1) cost (`sequential` keeps the equal-shares approval phase that
+    way); `compile_election` returns one object per value while it is
+    memoized.
     """
 
+    ids: tuple[str, ...]
     ballots: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
     group_of: tuple[int, ...]  # voter -> group
@@ -150,20 +158,35 @@ class Election:
     twins: tuple[int, ...]
 
 
+# the last compiled pair: weak references to its instance and profile, and
+# its election
+_last: tuple = ()
+
+
 def compile_election(instance: PBInstance,
                      profile: ApprovalProfile) -> Election:
     """The validated :class:`Election` of an instance and a profile.
 
-    Memoized by value, so the rules, optima and audits of one election share
-    one build.  Two elections are kept, so that the residual election of
-    `rule_x_pav` does not evict the one it came from.  The memo keeps each
-    voter's ballot as a tuple of project numbers, not the profile itself, so
-    it holds no copy of a profile alive.
+    Memoized twice, so the rules, optima and audits of one election share
+    one build.  First by identity: a call with the same instance and profile
+    objects as the last call returns its election at once.  That pair is
+    held through weak references, so it keeps no profile alive.  Any other
+    call validates the profile, renumbers its ballots and looks them up by
+    value.  The value memo keeps two elections, so that the residual
+    election of `rule_x_pav` does not evict the one it came from, and it
+    keeps each voter's ballot as a tuple of project numbers, not the profile
+    itself.
     """
+    global _last
+    if _last and _last[0]() is instance and _last[1]() is profile:
+        return _last[2]
     profile.validate(instance)
     index = {p.id: k for k, p in enumerate(instance.projects)}
-    return _compile(instance, tuple(tuple(sorted(map(index.__getitem__, b)))
-                                    for b in profile.ballots))
+    voters = tuple(tuple(sorted(map(index.__getitem__, b)))
+                   for b in profile.ballots)
+    election = _compile(instance, voters)
+    _last = (weakref.ref(instance), weakref.ref(profile), election)
+    return election
 
 
 @functools.lru_cache(maxsize=2)
@@ -184,7 +207,7 @@ def _compile(instance: PBInstance, voters: tuple) -> Election:
     costs = tuple(int(p.cost * unit) for p in instance.projects)
     first: dict[tuple, int] = {}
     return Election(
-        ballots=tuple(ballots),
+        ids=instance.project_ids, ballots=tuple(ballots),
         weights=tuple(mask.bit_count() for mask in group_masks),
         group_of=group_of, approvers=approvers,
         group_masks=tuple(group_masks),

@@ -135,13 +135,15 @@ class SearchStats:
     and only the per-group cap fell below it.  `optima` counts the maximal
     leaves of `select` that tie its final incumbent: the whole tie set, up
     to symmetry breaking, except where the worst-sw/worst-rp cut skips some.
-    `optimum` does not look for them and leaves it 0.
+    `restarts` counts the leaves of `select` that beat its incumbent and so
+    restarted the pick.  `optimum` looks for neither and leaves both 0.
     """
     nodes: int = 0
     knapsack_prunes: int = 0
     cap_prunes: int = 0
     leaves: int = 0
     optima: int = 0
+    restarts: int = 0
 
 
 class _Search:
@@ -401,6 +403,7 @@ class _Search:
             nonlocal incumbent, best
             if self.score > incumbent:
                 incumbent, best, stats.optima = self.score, None, 0
+                stats.restarts += 1
                 if rng is not None:
                     rng.seed(policy.seed)
             if self.score < incumbent or not self._is_maximal(residual):

@@ -46,6 +46,7 @@ class EjrVerdict:
     status: str  # "satisfied" | "violated" | "unknown"
     cap: int
     witness: Optional[CohesiveWitness] = None
+    examined: int = 0  # candidate sets T the search tried
 
     @property
     def ok(self) -> bool:
@@ -87,7 +88,8 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
 
     Returns a verdict with a re-checkable witness on violation.  When no
     violation is found, the status is "satisfied" only if t_cap covers every
-    feasible witness size; otherwise it is "unknown".
+    feasible witness size; otherwise it is "unknown".  Either way the verdict
+    counts the candidate sets T the search tried.
     """
     election = compile_election(instance, profile)
     funded = frozenset(bundle)
@@ -97,20 +99,23 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
         t_cap = default_t_cap(instance)
     if t_cap < 0:
         raise ValueError("t_cap must be non-negative")
-    witness = _search(election, instance, funded, t_cap)
+    witness, examined = _search(election, instance, funded, t_cap)
     if witness is not None:
-        return EjrVerdict("violated", t_cap, witness)
+        return EjrVerdict("violated", t_cap, witness, examined)
     status = "satisfied" if t_cap >= max_t_cap(instance) else "unknown"
-    return EjrVerdict(status, t_cap)
+    return EjrVerdict(status, t_cap, None, examined)
 
 
 def _search(election: Election, instance: PBInstance, funded: frozenset,
-            t_cap: int) -> Optional[CohesiveWitness]:
-    """Depth-first search over T in project order, with voter bitsets."""
+            t_cap: int) -> tuple[Optional[CohesiveWitness], int]:
+    """Depth-first search over T in project order, with voter bitsets.
+
+    Returns the witness found, if any, and how many sets T it tried.
+    """
     n = len(election.group_of)
     depth = min(t_cap, max(map(len, election.ballots), default=0))
     if depth == 0:
-        return None
+        return None, 0
     # under[k]: voters with fewer than k funded approvals
     under = [0] * (depth + 1)
     is_funded = [p.id in funded for p in instance.projects]
@@ -127,10 +132,13 @@ def _search(election: Election, instance: PBInstance, funded: frozenset,
             items.append((p.id, cost, bits))
 
     chosen: list[str] = []
+    examined = 0
 
     def extend(start: int, bits: int, cost: int) -> Optional[CohesiveWitness]:
+        nonlocal examined
         size = len(chosen) + 1
         for j in range(start, len(items)):
+            examined += 1
             pid, c, b = items[j]
             c += cost
             b &= bits
@@ -149,4 +157,5 @@ def _search(election: Election, instance: PBInstance, funded: frozenset,
                     return found
         return None
 
-    return extend(0, under[depth], 0)
+    witness = extend(0, under[depth], 0)
+    return witness, examined

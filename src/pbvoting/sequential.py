@@ -10,12 +10,18 @@ otherwise.
 
 The rules run over the weighted ballot groups of the compiled election
 (`core.compile_election`), and each project only looks at the groups that
-approve it.  The grouping is exact:
-voters with identical ballots are charged identically in every round, so
-their budgets stay identical, and a group of w voters with budget b each pays
-w times a voter's charge.  Per-voter payment records in an `EqualSharesTrace`
-are expanded from the groups, through the election's voter-to-group map, only
-when a trace is asked for.
+approve it.  The grouping is exact: voters with identical ballots are
+charged identically in every round, so their budgets stay identical, and a
+group of w voters with budget b each pays w times a voter's charge.
+
+RX, RX-eps and RX-PAV begin with the same approval phase, so it runs once
+per compiled election and is memoized next to it, two elections deep: the
+funded projects in funding order, the threshold q each was paid at, and the
+final group budgets.  `rule_x_eps` starts its exhaustion phase from those
+budgets.  An `EqualSharesTrace` is rebuilt from the memo by charging
+min(b_g, q) to each approver group of each funded project, in funding order,
+which repeats the phase's charges exactly; per-voter records are expanded
+from the groups through the election's voter-to-group map.
 
 The payment threshold q of a project is the least q with
 sum_g w_g * min(b_g, q) >= cost over its approver groups.  It is found with
@@ -41,13 +47,14 @@ breakpoint scan.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .core import ApprovalProfile, PBInstance, compile_election
+from .core import ApprovalProfile, Election, PBInstance, compile_election
 from .exact import SearchBudget, TieBreakPolicy, solve_pav
 
 
@@ -99,56 +106,85 @@ class EqualSharesTrace:
     final_budgets: list[Fraction] = field(default_factory=list)
 
 
-class _Groups:
-    """Ballot groups with one shared per-voter budget each."""
+class NoVotersError(ValueError):
+    """Equal shares divides the budget among the voters, and there are none."""
 
-    def __init__(self, instance: PBInstance, profile: ApprovalProfile):
-        self.election = compile_election(instance, profile)
-        n = profile.n_voters
+
+class _Phase(NamedTuple):
+    """The outcome of the approval phase of equal shares on one election."""
+
+    funded: tuple[int, ...]        # project numbers, in funding order
+    q: tuple[Fraction, ...]        # the threshold each of them was paid at
+    budgets: tuple[Fraction, ...]  # each group's per-voter budget after it
+
+
+class _Groups:
+    """Ballot groups with one shared per-voter budget each.
+
+    Budgets start at an equal share of the budget unless `budgets` gives
+    them.
+    """
+
+    def __init__(self, election: Election,
+                 budgets: Optional[Sequence[Fraction]] = None):
+        n = len(election.group_of)
         if n == 0:
-            raise ValueError("equal shares needs at least one voter")
-        self.instance = instance
-        self.weights = self.election.weights
-        self.budgets = [instance.budget / n] * len(self.weights)
+            raise NoVotersError("equal shares needs at least one voter")
+        self.election = election
+        self.weights = election.weights
+        self.costs = [Fraction(c, election.unit) for c in election.costs]
+        self.budgets = (list(budgets) if budgets is not None else
+                        [Fraction(election.budget, election.unit * n)]
+                        * len(self.weights))
         self.money = [b * w for b, w in zip(self.budgets, self.weights)]
 
-    def _q(self, pid: str, members) -> Optional[Fraction]:
+    def _q(self, k: int, members) -> Optional[Fraction]:
         budgets, money, weights = self.budgets, self.money, self.weights
-        return _threshold(self.instance.cost(pid), [
+        return _threshold(self.costs[k], [
             (budgets[g], money[g], weights[g]) for g in members if budgets[g]])
 
-    def fund(self, trace: Optional[EqualSharesTrace]) -> list[str]:
+    def fund(self) -> _Phase:
         """Repeatedly fund the project with minimal finite q.
 
         Only a project's approver groups pay for it.  Ties on q go to the
         cheaper project, then to the lexicographically smaller id.  Group
-        budgets are charged in place.
+        budgets are charged in place, and the phase's outcome is returned.
         """
-        approvers = self.election.approvers
+        e = self.election
         heap = []
-        for k, p in enumerate(self.instance.projects):
-            q = self._q(p.id, approvers[k])
+        for k, members in enumerate(e.approvers):
+            q = self._q(k, members)
             if q is not None:
-                heap.append((q, p.cost, p.id, k, 0))
+                heap.append((q, e.costs[k], e.ids[k], k, 0))
         heapq.heapify(heap)
-        funded: list[str] = []
+        funded: list[int] = []
+        paid: list[Fraction] = []
         while heap:
             q, c, pid, k, stamp = heapq.heappop(heap)
             if stamp != len(funded):
                 # evaluated before the last funding, so only a lower bound;
                 # a project that became unaffordable stays so and is dropped
-                q = self._q(pid, approvers[k])
+                q = self._q(k, e.approvers[k])
                 if q is not None:
                     heapq.heappush(heap, (q, c, pid, k, len(funded)))
                 continue
-            self._charge(pid, approvers[k], q, trace)
-            funded.append(pid)
-        if trace is not None:
-            trace.final_budgets = self._per_voter(self.budgets)
-        return funded
+            self._charge(k, e.approvers[k], q, None)
+            funded.append(k)
+            paid.append(q)
+        return _Phase(tuple(funded), tuple(paid), tuple(self.budgets))
+
+    def replay(self, phase: _Phase, trace: EqualSharesTrace):
+        """Charge the approval phase again, recording it in `trace`.
+
+        Charging min(b_g, q) to each approver group of each funded project,
+        in funding order, repeats the charges of `fund` exactly.
+        """
+        for k, q in zip(phase.funded, phase.q):
+            self._charge(k, self.election.approvers[k], q, trace)
+        trace.final_budgets = self._per_voter(self.budgets)
 
     def exhaust(self, candidates, trace: Optional[EqualSharesTrace]
-                ) -> list[str]:
+                ) -> list[int]:
         """`fund` with every group paying for every candidate.
 
         All candidates then share one set of groups, and q rises strictly
@@ -157,18 +193,19 @@ class _Groups:
         one that does not fit stays unaffordable, since money only falls.
         Only the funded candidates need their q, one breakpoint sort each.
         """
+        e = self.election
         everyone = range(len(self.weights))
-        funded: list[str] = []
-        for pid in sorted(candidates, key=lambda p: (self.instance.cost(p), p)):
-            if self.instance.cost(pid) > sum(self.money):
+        funded: list[int] = []
+        for k in sorted(candidates, key=lambda k: (e.costs[k], e.ids[k])):
+            if self.costs[k] > sum(self.money):
                 break
-            self._charge(pid, everyone, self._q(pid, everyone), trace)
-            funded.append(pid)
+            self._charge(k, everyone, self._q(k, everyone), trace)
+            funded.append(k)
         if trace is not None:
             trace.final_budgets = self._per_voter(self.budgets)
         return funded
 
-    def _charge(self, pid: str, members, q: Fraction,
+    def _charge(self, k: int, members, q: Fraction,
                 trace: Optional[EqualSharesTrace]):
         paid = {}
         for g in members:
@@ -178,12 +215,32 @@ class _Groups:
                 self.money[g] = self.budgets[g] * self.weights[g]
                 paid[g] = charge
         if trace is not None:
+            pid = self.election.ids[k]
             trace.funded.append(pid)
             trace.charges[pid] = self._per_voter(
                 [paid.get(g, Fraction(0)) for g in range(len(self.weights))])
 
-    def _per_voter(self, values: list) -> list:
+    def _per_voter(self, values: Sequence) -> list:
         return [values[g] for g in self.election.group_of]
+
+
+@functools.lru_cache(maxsize=2)
+def _approval_phase(election: Election) -> _Phase:
+    """The approval phase of `election`, run once for RX, RX-eps and RX-PAV.
+
+    Two elections are kept, as in `core._compile`.
+    """
+    return _Groups(election).fund()
+
+
+def _equal_shares(instance: PBInstance, profile: ApprovalProfile,
+                  trace: Optional[EqualSharesTrace]
+                  ) -> tuple[Election, _Phase]:
+    election = compile_election(instance, profile)
+    phase = _approval_phase(election)
+    if trace is not None:
+        _Groups(election).replay(phase, trace)
+    return election, phase
 
 
 def rule_x(instance: PBInstance, profile: ApprovalProfile,
@@ -194,7 +251,8 @@ def rule_x(instance: PBInstance, profile: ApprovalProfile,
     in order of their minimal payment rate q, each approver paying
     min(remaining budget, q) until no project remains affordable.
     """
-    return frozenset(_Groups(instance, profile).fund(trace))
+    election, phase = _equal_shares(instance, profile, trace)
+    return frozenset(election.ids[k] for k in phase.funded)
 
 
 def rule_x_eps(instance: PBInstance, profile: ApprovalProfile, *,
@@ -207,10 +265,11 @@ def rule_x_eps(instance: PBInstance, profile: ApprovalProfile, *,
     a fixed small utility for non-approvers: there approvers spend their
     whole budgets first, and the funded set can differ at every epsilon.
     """
-    groups = _Groups(instance, profile)
-    funded = groups.fund(trace)
-    rest = [pid for pid in instance.project_ids if pid not in funded]
-    return frozenset(funded) | frozenset(groups.exhaust(rest, trace))
+    election, phase = _equal_shares(instance, profile, trace)
+    funded = set(phase.funded)
+    rest = [k for k in range(len(election.ids)) if k not in funded]
+    more = _Groups(election, phase.budgets).exhaust(rest, trace)
+    return frozenset(election.ids[k] for k in (*phase.funded, *more))
 
 
 def rule_x_pav(instance: PBInstance, profile: ApprovalProfile,

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from pbvoting import core, sequential
 from pbvoting.core import ApprovalProfile, PBInstance, Project, harmonic
 from pbvoting.instances import city, tiny
 
@@ -38,6 +39,13 @@ def pytest_terminal_summary(terminalreporter):
     for n in sorted(LABELS):
         status = RESULTS.get(n, "NOT RUN")
         terminalreporter.write_line(f"criterion {n} ({LABELS[n]}): {status}")
+
+
+def clear_memos():
+    """Forget every compiled election and every equal-shares phase."""
+    core._compile.cache_clear()
+    core._last = ()
+    sequential._approval_phase.cache_clear()
 
 
 @pytest.fixture(scope="session")

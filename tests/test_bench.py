@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from pbvoting import bench, core, plotting
+from conftest import clear_memos
+from pbvoting import bench, core, plotting, sequential
 from pbvoting.bench import (RULE_NAMES, RULES, ExperimentSpec, ResultRow,
                             RuleSummary, aggregate, format_ratio,
                             parse_config, rows_to_csv, run_experiment,
@@ -180,19 +181,34 @@ def test_every_rule_runs_through_the_table():
 
 def test_an_experiment_compiles_each_election_once():
     # 7 rules, their optima and 7 audits share one build; RX-PAV adds the
-    # build of its residual election, which must not evict the first
-    core._compile.cache_clear()
+    # build of its residual election, which must not evict the first.  Of
+    # the 15 calls, only the first audit after the residual election reaches
+    # the value memo; the other 12 match the last pair by identity.
+    clear_memos()
     rows = run_experiment(ExperimentSpec("euclidean-desk", RULE_NAMES,
                                          tiebreak="worst-sw"))
     assert len(rows) == len(RULE_NAMES)
     info = core._compile.cache_info()
-    assert (info.misses, info.hits) == (2, 13)
+    assert (info.misses, info.hits) == (2, 1)
+
+
+def test_an_experiment_runs_the_approval_phase_once(monkeypatch):
+    # RX, RX-eps and RX-PAV share one equal-shares approval phase
+    calls = []
+    fund = sequential._Groups.fund
+    monkeypatch.setattr(sequential._Groups, "fund",
+                        lambda self: calls.append(1) or fund(self))
+    clear_memos()
+    rows = run_experiment(ExperimentSpec("euclidean-desk", RULE_NAMES,
+                                         tiebreak="worst-sw"))
+    assert all(row.ok for row in rows)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rule", RULE_NAMES)
 def test_a_rule_and_its_audit_share_one_build(rule):
     inst, prof = generate("euclidean-desk", 0)
-    core._compile.cache_clear()
+    clear_memos()
     bundle = run_rule(rule, inst, prof, TieBreakPolicy.lex(), SearchBudget())
     find_ejr_violation(inst, prof, bundle)
     # equal shares leaves money that RX-PAV spends on a residual election

@@ -1,5 +1,7 @@
 from pbvoting.cli import main
+from pbvoting.core import ApprovalProfile
 from pbvoting.datagen import EuclideanConfig, gen_euclidean
+from pbvoting.instances import tiny
 from pbvoting.pabulib import write_pb
 
 
@@ -38,3 +40,20 @@ def test_bench_reports_a_node_budget_failure_of_every_row(capsys):
     assert capsys.readouterr().err == (
         "error: every row failed; first failure: optima: exceeded search "
         "budget of 10 nodes in the optimum phase of the sw search\n")
+
+
+def test_bench_records_a_zero_voter_election_as_failed_rows(tmp_path, capsys):
+    inst, prof = tiny()
+    (tmp_path / "empty.pb").write_text(write_pb(inst, ApprovalProfile(())),
+                                       encoding="utf-8")
+    (tmp_path / "tiny.pb").write_text(write_pb(inst, prof), encoding="utf-8")
+    rows = tmp_path / "rows.csv"
+    assert main(["bench", "--dataset", f"pabulib:{tmp_path}",
+                 "--rules", "AV,RX", "--out-csv", str(rows)]) == 1
+    assert capsys.readouterr().err == (
+        "FAILED empty RX: equal shares needs at least one voter\n")
+    lines = rows.read_text(encoding="utf-8").splitlines()
+    assert lines[2] == ",".join(["empty", "RX"] + [""] * 6
+                                + ["equal shares needs at least one voter"])
+    assert [line.split(",")[:2] for line in lines[3:]] == [
+        ["tiny", "AV"], ["tiny", "RX"]]

@@ -1,11 +1,14 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import pbvoting
 from pbvoting.core import (ApprovalProfile, PBInstance, Project,
-                           UnknownProjectError, harmonic, is_feasible,
-                           pav_score, representation, social_welfare)
+                           UnknownProjectError, compile_election, harmonic,
+                           is_feasible, pav_score, representation,
+                           social_welfare)
 
 
 def test_project_rejects_non_positive_cost():
@@ -83,3 +86,38 @@ def test_empty_ballots_contribute_nothing():
 def test_every_exported_name_resolves():
     for name in pbvoting.__all__:
         assert hasattr(pbvoting, name), name
+
+
+def test_a_repeated_compile_returns_the_election_at_once(tiny_pair):
+    inst, prof = tiny_pair
+    profile = ApprovalProfile(prof.ballots)
+    election = compile_election(inst, profile)
+    assert compile_election(inst, profile) is election
+    # the identity check holds the profile only through a weak reference
+    ref = weakref.ref(profile)
+    del profile
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_equal_profile_gets_the_same_election(tiny_pair):
+    inst, prof = tiny_pair
+    election = compile_election(inst, prof)
+    copy = ApprovalProfile(tuple(set(ballot) for ballot in prof.ballots))
+    assert copy is not prof and copy == prof
+    assert compile_election(inst, copy) is election
+
+
+def test_the_same_profile_with_another_instance_is_compiled_anew(tiny_pair):
+    inst, prof = tiny_pair
+    richer = PBInstance(inst.projects, inst.budget * 2)
+    assert compile_election(inst, prof).budget == inst.budget
+    assert compile_election(richer, prof).budget == richer.budget
+
+
+def test_an_unknown_project_raises_right_after_a_hit(tiny_pair):
+    inst, prof = tiny_pair
+    assert compile_election(inst, prof) is compile_election(inst, prof)
+    bad = ApprovalProfile(prof.ballots + (frozenset({"nope"}),))
+    with pytest.raises(UnknownProjectError, match="nope"):
+        compile_election(inst, bad)

@@ -200,19 +200,23 @@ PINNED_NODES = {
 
 
 # SearchStats of the optimum search and of the lex one pass:
-#   (nodes, knapsack prunes, cap prunes, leaves, maximal optima)
+#   (nodes, knapsack prunes, cap prunes, leaves, maximal optima, restarts)
 PINNED_STATS = {
-    ("city", "sw"): ((32, 9, 0, 5, 0), (32, 9, 0, 5, 1)),
-    ("city", "rp"): ((19, 0, 8, 2, 0), (979, 22, 1, 377, 78)),
-    ("city", "pav"): ((114, 23, 9, 5, 0), (121, 22, 10, 7, 2)),
-    ("euclidean-desk-1", "sw"): ((31, 13, 0, 3, 0), (31, 13, 0, 3, 2)),
-    ("euclidean-desk-1", "rp"): ((285, 91, 33, 19, 0),
-                                 (921, 250, 70, 141, 28)),
-    ("euclidean-desk-1", "pav"): ((129, 58, 0, 7, 0), (129, 58, 0, 7, 1)),
-    ("euclidean-desk-2", "sw"): ((23, 10, 0, 2, 0), (27, 10, 0, 4, 3)),
-    ("euclidean-desk-2", "rp"): ((401, 94, 91, 16, 0),
-                                 (1637, 323, 79, 417, 68)),
-    ("euclidean-desk-2", "pav"): ((57, 26, 1, 2, 0), (57, 26, 1, 2, 1)),
+    ("city", "sw"): ((32, 9, 0, 5, 0, 0), (32, 9, 0, 5, 1, 2)),
+    ("city", "rp"): ((19, 0, 8, 2, 0, 0), (979, 22, 1, 377, 78, 1)),
+    ("city", "pav"): ((114, 23, 9, 5, 0, 0), (121, 22, 10, 7, 2, 2)),
+    ("euclidean-desk-1", "sw"): ((31, 13, 0, 3, 0, 0),
+                                 (31, 13, 0, 3, 2, 2)),
+    ("euclidean-desk-1", "rp"): ((285, 91, 33, 19, 0, 0),
+                                 (921, 250, 70, 141, 28, 2)),
+    ("euclidean-desk-1", "pav"): ((129, 58, 0, 7, 0, 0),
+                                  (129, 58, 0, 7, 1, 1)),
+    ("euclidean-desk-2", "sw"): ((23, 10, 0, 2, 0, 0),
+                                 (27, 10, 0, 4, 3, 1)),
+    ("euclidean-desk-2", "rp"): ((401, 94, 91, 16, 0, 0),
+                                 (1637, 323, 79, 417, 68, 1)),
+    ("euclidean-desk-2", "pav"): ((57, 26, 1, 2, 0, 0),
+                                  (57, 26, 1, 2, 1, 2)),
 }
 
 

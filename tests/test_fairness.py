@@ -65,6 +65,20 @@ def test_city_harmonic_bundle_satisfies_ejr(city_pair):
     assert verdict.ok
 
 
+def test_audit_counts_the_sets_it_tries(city_pair):
+    inst, prof = city_pair
+    av = solve_av(inst, prof, TieBreakPolicy.worst_rp())
+    cc = solve_cc(inst, prof, TieBreakPolicy.worst_sw())
+    harmonic = frozenset(
+        {f"A-g{i}" for i in range(5)} | {f"B-e{i}" for i in range(3)})
+    # a violation ends the search at its witness
+    assert find_ejr_violation(inst, prof, av).examined == 1
+    assert find_ejr_violation(inst, prof, cc).examined == 2
+    # without one, a deeper cap tries more sets; depth 0 tries none
+    assert [find_ejr_violation(inst, prof, harmonic, t).examined
+            for t in (0, 4, 5, 6, 10)] == [0, 41, 41, 1158, 1158]
+
+
 def test_low_cap_returns_unknown():
     # both voters already have one funded project, so every violating
     # witness needs |T| >= 2 and a cap of 1 cannot decide

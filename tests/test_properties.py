@@ -17,14 +17,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_ejr_violated, oracle_search
+from conftest import clear_memos, oracle_ejr_violated, oracle_search
 from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            compile_election, pav_score, representation,
                            social_welfare)
 from pbvoting.exact import (SearchBudget, TieBreakPolicy, _Search,
                             optimum_value, solve_av, solve_cc, solve_pav)
 from pbvoting.fairness import find_ejr_violation, is_cohesive, max_t_cap
-from pbvoting.sequential import rule_x, rule_x_eps, seq_pav
+from pbvoting.sequential import (EqualSharesTrace, _approval_phase, rule_x,
+                                 rule_x_eps, seq_pav)
 
 
 @st.composite
@@ -265,6 +266,34 @@ def test_kept_bound_equals_a_recount_at_every_node(election):
 
 def test_kept_bound_equals_a_recount_at_every_node_of_city(city_pair):
     _assert_kept_bounds_are_exact(*city_pair)
+
+
+@given(elections())
+def test_equal_shares_traces_replay_the_shared_phase(election):
+    inst, prof = election
+    runs = (lambda trace: rule_x(inst, prof, trace),
+            lambda trace: rule_x_eps(inst, prof, trace=trace))
+
+    def traced(run, cold):
+        if cold:
+            clear_memos()
+        trace = EqualSharesTrace()
+        return run(trace), trace
+
+    rule_x(inst, prof)  # leaves the election and its phase memoized
+    warm = [traced(run, cold=False) for run in runs]
+    cold = [traced(run, cold=True) for run in runs]
+    assert warm == cold
+    for bundle, trace in warm:
+        assert set(trace.funded) == bundle
+        for pid in trace.funded:
+            assert sum(trace.charges[pid]) == inst.cost(pid)
+        assert all(b >= 0 for b in trace.final_budgets)
+        assert sum(trace.final_budgets) + inst.cost_of(bundle) == inst.budget
+    # the replay ends where the approval phase ended
+    e = compile_election(inst, prof)
+    assert warm[0][1].final_budgets == [_approval_phase(e).budgets[g]
+                                        for g in e.group_of]
 
 
 def _outcomes(inst, prof):
