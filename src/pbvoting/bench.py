@@ -10,10 +10,11 @@ every call.
 
 A run is described by an :class:`ExperimentSpec`; :func:`run_experiment`
 executes every instance x rule pair and returns one :class:`ResultRow` per
-pair.  The ratios divide by the instance's exact sw and rp optima.  An AV
-bundle attains the sw optimum and a CC bundle the rp optimum, so these are
-read off the AV and CC rows when the spec has those rules; `optimum_value`
-searches only for an optimum whose rule is absent or failed.
+pair, a failed pair included, with its reason.  The ratios divide by the
+instance's exact sw and rp optima.  An AV bundle attains the sw optimum and
+a CC bundle the rp optimum, so these are read off the AV and CC rows when
+the spec has those rules; `optimum_value` searches only for an optimum
+whose rule is absent or failed.
 
 Ratios are exact rationals serialized as 6-decimal strings, so a rerun
 with the same spec and seed produces byte-identical CSV output.  Wall-clock
@@ -124,14 +125,6 @@ def _policy(spec: ExperimentSpec, instance_id: str, rule: str) -> TieBreakPolicy
                           _tie_seed(spec.seed, instance_id, rule))
 
 
-def _greedy_policy(policy: TieBreakPolicy) -> TieBreakPolicy:
-    # the greedy selector has no tie *set* to minimize a secondary score
-    # over, so worst-* policies fall back to the rule's default
-    if policy.variant in ("worst-sw", "worst-rp"):
-        return TieBreakPolicy.cheapest()
-    return policy
-
-
 class Rule(NamedTuple):
     run: Callable[[PBInstance, ApprovalProfile, TieBreakPolicy, SearchBudget],
                   frozenset]
@@ -142,8 +135,7 @@ RULES = {
     "AV": Rule(lambda i, p, t, b: solve_av(i, p, t, b), "circle"),
     "CC": Rule(lambda i, p, t, b: solve_cc(i, p, t, b), "square"),
     "PAV": Rule(lambda i, p, t, b: solve_pav(i, p, t, b), "triangle-up"),
-    "sPAV": Rule(lambda i, p, t, b: seq_pav(i, p, _greedy_policy(t)),
-                 "diamond"),
+    "sPAV": Rule(lambda i, p, t, b: seq_pav(i, p, t), "diamond"),
     "RX": Rule(lambda i, p, t, b: rule_x(i, p), "triangle-down"),
     "RX-eps": Rule(lambda i, p, t, b: rule_x_eps(i, p), "cross"),
     "RX-PAV": Rule(lambda i, p, t, b: rule_x_pav(i, p, t, b), "plus"),
@@ -233,9 +225,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 Fraction(rp, opt_rp) if opt_rp else None,
                 verdict.status, ms, ""))
     rows.sort(key=lambda r: (r.instance, r.rule))
-    if rows and not any(r.ok for r in rows):
-        raise SearchBudgetExceeded(
-            f"every row failed; first failure: {rows[0].reason}")
     return rows
 
 

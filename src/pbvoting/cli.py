@@ -140,20 +140,25 @@ def _cmd_bench(args) -> int:
             tiebreak=args.tiebreak, t_cap=args.tcap,
             max_nodes=args.max_nodes, record_time=args.record_time)
     rows = run_experiment(spec)
-    summaries = aggregate(rows)
-    print(summaries_to_text(summaries), end="")
     if args.out_csv:
         Path(args.out_csv).write_text(rows_to_csv(rows), encoding="utf-8")
-    if args.out_summary_csv:
-        Path(args.out_summary_csv).write_text(
-            summaries_to_csv(summaries), encoding="utf-8")
-    if args.out_svg:
-        from .plotting import emit_scatter
-        emit_scatter({spec.dataset: summaries}, args.out_svg)
+    # failed rows, and rows of an election with a zero optimum, have no
+    # ratios; with none to summarize, the rows CSV is the whole output
+    summarized = any(r.util_ratio is not None and r.rep_ratio is not None
+                     for r in rows)
+    if summarized:
+        summaries = aggregate(rows)
+        print(summaries_to_text(summaries), end="")
+        if args.out_summary_csv:
+            Path(args.out_summary_csv).write_text(
+                summaries_to_csv(summaries), encoding="utf-8")
+        if args.out_svg:
+            from .plotting import emit_scatter
+            emit_scatter({spec.dataset: summaries}, args.out_svg)
     failed = [r for r in rows if not r.ok]
     for r in failed:
         print(f"FAILED {r.instance} {r.rule}: {r.reason}", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if failed or not summarized else 0
 
 
 def _cmd_generate(args) -> int:

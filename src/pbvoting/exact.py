@@ -146,6 +146,17 @@ class SearchStats:
     restarts: int = 0
 
 
+def harmonic_gains(longest: int) -> list[int]:
+    """Harmonic gains in units of 1/L, L = lcm(1..longest); entry 0 is L.
+
+    Entry c is L // (c+1), what one voter with c funded approvals gains from
+    one more.  It is exact for c < longest; the last entry is floored, but a
+    voter whose ballot has at most `longest` projects never gains at it.
+    """
+    scale = math.lcm(*range(1, longest + 1))
+    return [scale // (c + 1) for c in range(longest + 1)]
+
+
 class _Search:
     """One branch-and-bound context; the node budget spans every search on it.
 
@@ -194,8 +205,8 @@ class _Search:
         elif objective == "rp":
             self.gain = [1] + [0] * longest
         else:
-            self.scale = math.lcm(*range(1, longest + 1))
-            self.gain = [self.scale // (c + 1) for c in range(longest + 1)]
+            self.gain = harmonic_gains(longest)
+            self.scale = self.gain[0]
         self.harm = [0]
         for g in self.gain:
             self.harm.append(self.harm[-1] + g)

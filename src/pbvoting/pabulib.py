@@ -14,15 +14,16 @@ The format has three sections, each introduced by a bare header line::
     v1;p1,p2;...
 
 Only approval ballots are supported: the ``vote`` column holds a
-comma-separated list of project ids.  Unknown meta keys and extra columns are
-preserved verbatim so that files survive a parse/write cycle.  All failures
-raise :class:`PabulibParseError` with a line number; the parser never leaks a
-bare exception on malformed input.
+comma-separated list of project ids.  Extra columns are checked for their
+cell count and then ignored; `write_pb` writes only ``project_id;cost`` and
+``voter_id;vote``, so they do not survive a parse/write cycle.  `parse_pb`
+also returns the META section as a mapping, unknown keys included.  All
+failures raise :class:`PabulibParseError` with a line number; the parser
+never leaks a bare exception on malformed input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -38,20 +39,6 @@ class PabulibParseError(ValueError):
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
         self.line = line
-
-
-@dataclass(frozen=True)
-class PabulibFile:
-    """Verbatim file content: meta mapping plus raw section rows."""
-
-    meta: tuple[tuple[str, str], ...]
-    project_columns: tuple[str, ...]
-    projects: tuple[tuple[str, ...], ...]
-    vote_columns: tuple[str, ...]
-    votes: tuple[tuple[str, ...], ...]
-
-    def meta_dict(self) -> dict[str, str]:
-        return dict(self.meta)
 
 
 def _decimal_fraction(text: str, line: Optional[int], what: str) -> Fraction:
@@ -113,11 +100,11 @@ def _parse_table(rows: list[tuple[int, str]], section: str
     return columns, data
 
 
-def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
-    """Parse `.pb` content into the domain model plus the verbatim file."""
+def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
+    """Parse `.pb` content into the domain model plus its META mapping."""
     sections = _split_sections(text)
 
-    meta: list[tuple[str, str]] = []
+    meta: dict[str, str] = {}
     meta_line: dict[str, int] = {}
     for lineno, line in sections["META"][1]:
         parts = line.split(";")
@@ -129,22 +116,21 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
         if key in meta_line:
             raise PabulibParseError(lineno, f"duplicate meta key {key!r}")
         meta_line[key] = lineno
-        meta.append((key, value))
-    meta_map = dict(meta)
+        meta[key] = value
 
     for key in REQUIRED_META:
-        if key not in meta_map:
+        if key not in meta:
             raise PabulibParseError(None, f"META is missing required key {key!r}")
-    vote_type = meta_map.get("vote_type", "approval")
+    vote_type = meta.get("vote_type", "approval")
     if vote_type != "approval":
         raise PabulibParseError(
             None, f"unsupported vote_type {vote_type!r}: only approval "
             "ballots are supported")
-    budget = _decimal_fraction(meta_map["budget"], meta_line["budget"],
+    budget = _decimal_fraction(meta["budget"], meta_line["budget"],
                                "budget")
     if budget <= 0:
         raise PabulibParseError(None, f"budget must be positive, got {budget}")
-    num_projects, num_votes = (_count(meta_map[key], key, meta_line[key])
+    num_projects, num_votes = (_count(meta[key], key, meta_line[key])
                                for key in ("num_projects", "num_votes"))
 
     pcols, prows = _parse_table(sections["PROJECTS"][1], "PROJECTS")
@@ -168,7 +154,7 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
         raise PabulibParseError(None, "duplicate project ids in PROJECTS")
     if num_projects != len(projects):
         raise PabulibParseError(
-            None, f"num_projects={meta_map['num_projects']} but "
+            None, f"num_projects={meta['num_projects']} but "
             f"PROJECTS has {len(projects)} rows")
 
     vcols, vrows = _parse_table(sections["VOTES"][1], "VOTES")
@@ -187,14 +173,11 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, PabulibFile]:
         ballots.append(frozenset(ids))
     if num_votes != len(ballots):
         raise PabulibParseError(
-            None, f"num_votes={meta_map['num_votes']} but VOTES has "
+            None, f"num_votes={meta['num_votes']} but VOTES has "
             f"{len(ballots)} rows")
 
-    instance = PBInstance(tuple(projects), budget)
-    profile = ApprovalProfile(tuple(ballots))
-    pab = PabulibFile(tuple(meta), pcols, tuple(c for _, c in prows),
-                      vcols, tuple(c for _, c in vrows))
-    return instance, profile, pab
+    return (PBInstance(tuple(projects), budget),
+            ApprovalProfile(tuple(ballots)), meta)
 
 
 def format_decimal(value: Fraction) -> str:

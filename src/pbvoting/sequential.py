@@ -16,12 +16,24 @@ group of w voters with budget b each pays w times a voter's charge.
 
 RX, RX-eps and RX-PAV begin with the same approval phase, so it runs once
 per compiled election and is memoized next to it, two elections deep: the
-funded projects in funding order, the threshold q each was paid at, and the
-final group budgets.  `rule_x_eps` starts its exhaustion phase from those
-budgets.  An `EqualSharesTrace` is rebuilt from the memo by charging
-min(b_g, q) to each approver group of each funded project, in funding order,
-which repeats the phase's charges exactly; per-voter records are expanded
-from the groups through the election's voter-to-group map.
+funded projects in funding order and the threshold q each was paid at.  An
+`EqualSharesTrace` is rebuilt from the memo by charging min(b_g, q) to each
+approver group of each funded project, in funding order, which repeats the
+phase's charges exactly; per-voter records are expanded from the groups
+through the election's voter-to-group map.
+
+The exhaustion phase of `rule_x_eps` needs no budgets.  There every voter
+pays for every project, and a funded project is paid for exactly, since
+sum_g w_g * min(b_g, r) = cost at its threshold r; the voters' total money
+is therefore the budget minus the cost of everything funded so far.  Every
+project then shares one set of payers, so r rises strictly with cost and
+the (r, cost, id) order is the (cost, id) order, and a project is
+affordable exactly while its cost fits in that total.  The phase funds the
+longest prefix of the unfunded projects in (cost, id) order whose costs fit
+in the money the approval phase left, in the election's integer units, and
+stops at the first that does not fit: every later project costs at least as
+much, and money only falls.  Group budgets and thresholds are computed only
+for a trace.
 
 The payment threshold q of a project is the least q with
 sum_g w_g * min(b_g, q) >= cost over its approver groups.  It is found with
@@ -30,8 +42,7 @@ general utilities of `q_value`): a group whose breakpoint lies
 below the rate that the still-uncapped groups would need pays its whole
 budget and drops out; the first group that does not drop out fixes q, since
 every later group has a breakpoint at least as large and is not capped at q
-either.  `seq_pav` sums a project's harmonic gain w_g / (k_g + 1) over its
-approver groups, adding up the weights of groups with equal k_g first.
+either.
 
 The equal-shares loop evaluates projects lazily.  Budgets only fall, so a
 project's payment threshold only rises (or the project becomes unaffordable
@@ -39,10 +50,12 @@ for good), and the (q, cost, id) key it had when last evaluated is a lower
 bound on its current key.  Keys sit in a heap; the top key is evaluated
 afresh, and a project is funded once its fresh key is still the smallest
 stored key.  This funds exactly the project with minimal q, then the cheaper
-one, then the smaller id, as a full scan of all projects would.  In the
-exhaustion phase of `rule_x_eps` every voter pays alike for every project,
-so that order is simply (cost, id) and only funded projects need a
-breakpoint scan.
+one, then the smaller id, as a full scan of all projects would.
+
+`seq_pav` runs on the compiled election's integers: costs and the budget in
+its money units, and harmonic gains scaled by L = lcm(1..K), K the longest
+ballot, as in `exact` (`exact.harmonic_gains`).  A group of w voters with c
+funded approvals adds w * L/(c+1) to a project's gain.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .core import ApprovalProfile, Election, PBInstance, compile_election
-from .exact import SearchBudget, TieBreakPolicy, solve_pav
+from .exact import SearchBudget, TieBreakPolicy, harmonic_gains, solve_pav
 
 
 def _exact_order(group):
@@ -113,28 +126,22 @@ class NoVotersError(ValueError):
 class _Phase(NamedTuple):
     """The outcome of the approval phase of equal shares on one election."""
 
-    funded: tuple[int, ...]        # project numbers, in funding order
-    q: tuple[Fraction, ...]        # the threshold each of them was paid at
-    budgets: tuple[Fraction, ...]  # each group's per-voter budget after it
+    funded: tuple[int, ...]  # project numbers, in funding order
+    q: tuple[Fraction, ...]  # the threshold each of them was paid at
 
 
 class _Groups:
-    """Ballot groups with one shared per-voter budget each.
+    """Ballot groups with one shared per-voter budget each, starting at an
+    equal share of the budget."""
 
-    Budgets start at an equal share of the budget unless `budgets` gives
-    them.
-    """
-
-    def __init__(self, election: Election,
-                 budgets: Optional[Sequence[Fraction]] = None):
+    def __init__(self, election: Election):
         n = len(election.group_of)
         if n == 0:
             raise NoVotersError("equal shares needs at least one voter")
         self.election = election
         self.weights = election.weights
         self.costs = [Fraction(c, election.unit) for c in election.costs]
-        self.budgets = (list(budgets) if budgets is not None else
-                        [Fraction(election.budget, election.unit * n)]
+        self.budgets = ([Fraction(election.budget, election.unit * n)]
                         * len(self.weights))
         self.money = [b * w for b, w in zip(self.budgets, self.weights)]
 
@@ -171,39 +178,24 @@ class _Groups:
             self._charge(k, e.approvers[k], q, None)
             funded.append(k)
             paid.append(q)
-        return _Phase(tuple(funded), tuple(paid), tuple(self.budgets))
+        return _Phase(tuple(funded), tuple(paid))
 
-    def replay(self, phase: _Phase, trace: EqualSharesTrace):
-        """Charge the approval phase again, recording it in `trace`.
+    def replay(self, phase: _Phase, more: Sequence[int],
+               trace: EqualSharesTrace):
+        """Charge the approval phase again, then the exhaustion projects
+        `more`, recording both in `trace`.
 
         Charging min(b_g, q) to each approver group of each funded project,
-        in funding order, repeats the charges of `fund` exactly.
+        in funding order, repeats the charges of `fund` exactly.  Each
+        exhaustion project is charged to every group at its uniform
+        threshold.
         """
         for k, q in zip(phase.funded, phase.q):
             self._charge(k, self.election.approvers[k], q, trace)
-        trace.final_budgets = self._per_voter(self.budgets)
-
-    def exhaust(self, candidates, trace: Optional[EqualSharesTrace]
-                ) -> list[int]:
-        """`fund` with every group paying for every candidate.
-
-        All candidates then share one set of groups, and q rises strictly
-        with cost, so the (q, cost, id) order is the (cost, id) order.  A
-        candidate is affordable while the voters' money covers its cost, and
-        one that does not fit stays unaffordable, since money only falls.
-        Only the funded candidates need their q, one breakpoint sort each.
-        """
-        e = self.election
         everyone = range(len(self.weights))
-        funded: list[int] = []
-        for k in sorted(candidates, key=lambda k: (e.costs[k], e.ids[k])):
-            if self.costs[k] > sum(self.money):
-                break
+        for k in more:
             self._charge(k, everyone, self._q(k, everyone), trace)
-            funded.append(k)
-        if trace is not None:
-            trace.final_budgets = self._per_voter(self.budgets)
-        return funded
+        trace.final_budgets = self._per_voter(self.budgets)
 
     def _charge(self, k: int, members, q: Fraction,
                 trace: Optional[EqualSharesTrace]):
@@ -233,14 +225,10 @@ def _approval_phase(election: Election) -> _Phase:
     return _Groups(election).fund()
 
 
-def _equal_shares(instance: PBInstance, profile: ApprovalProfile,
-                  trace: Optional[EqualSharesTrace]
+def _equal_shares(instance: PBInstance, profile: ApprovalProfile
                   ) -> tuple[Election, _Phase]:
     election = compile_election(instance, profile)
-    phase = _approval_phase(election)
-    if trace is not None:
-        _Groups(election).replay(phase, trace)
-    return election, phase
+    return election, _approval_phase(election)
 
 
 def rule_x(instance: PBInstance, profile: ApprovalProfile,
@@ -251,7 +239,9 @@ def rule_x(instance: PBInstance, profile: ApprovalProfile,
     in order of their minimal payment rate q, each approver paying
     min(remaining budget, q) until no project remains affordable.
     """
-    election, phase = _equal_shares(instance, profile, trace)
+    election, phase = _equal_shares(instance, profile)
+    if trace is not None:
+        _Groups(election).replay(phase, (), trace)
     return frozenset(election.ids[k] for k in phase.funded)
 
 
@@ -265,10 +255,20 @@ def rule_x_eps(instance: PBInstance, profile: ApprovalProfile, *,
     a fixed small utility for non-approvers: there approvers spend their
     whole budgets first, and the funded set can differ at every epsilon.
     """
-    election, phase = _equal_shares(instance, profile, trace)
+    election, phase = _equal_shares(instance, profile)
+    # a cheapest-first prefix of the money left (see the module docstring)
+    costs = election.costs
+    left = election.budget - sum(costs[k] for k in phase.funded)
     funded = set(phase.funded)
-    rest = [k for k in range(len(election.ids)) if k not in funded]
-    more = _Groups(election, phase.budgets).exhaust(rest, trace)
+    more = []
+    for k in sorted((k for k in range(len(costs)) if k not in funded),
+                    key=lambda k: (costs[k], election.ids[k])):
+        if costs[k] > left:
+            break
+        left -= costs[k]
+        more.append(k)
+    if trace is not None:
+        _Groups(election).replay(phase, more, trace)
     return frozenset(election.ids[k] for k in (*phase.funded, *more))
 
 
@@ -296,49 +296,36 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
 
     Repeatedly adds the affordable project with the largest harmonic-score
     increment; stops when nothing fits.  Increment ties are resolved by the
-    given policy (default: cheaper cost, then lexicographic id).
+    given policy (default: cheaper cost, then lexicographic id).  A greedy
+    step has no tie set of whole bundles to minimize a secondary score over,
+    so worst-sw and worst-rp fall back to cheapest-first.
     """
-    election = compile_election(instance, profile)
+    e = compile_election(instance, profile)
+    gain = harmonic_gains(max(map(len, e.ballots), default=0))
     rng = (random.Random(tiebreak.seed)
            if tiebreak.variant == "random" else None)
-    weights = election.weights
-    counts = [0] * len(weights)  # funded approved projects per group
-    chosen: set[str] = set()
-    spent = Fraction(0)
+    counts = [0] * len(e.weights)  # funded approved projects per group
+    chosen: list[int] = []
+    left = e.budget
+    rest = list(range(len(e.ids)))
     while True:
-        residual = instance.budget - spent
-        best_gain = None
-        candidates = []
-        for p, approvers in zip(instance.projects, election.approvers):
-            if p.id in chosen or p.cost > residual:
-                continue
-            # voters with k funded approvals gain 1/(k+1) each
-            weight_at: dict[int, int] = {}
-            for g in approvers:
-                weight_at[counts[g]] = weight_at.get(counts[g], 0) + weights[g]
-            gain = sum((Fraction(w, k + 1) for k, w in weight_at.items()),
-                       Fraction(0))
-            if best_gain is None or gain > best_gain:
-                best_gain = gain
-                candidates = [p]
-            elif gain == best_gain:
-                candidates.append(p)
-        if best_gain is None:
-            return frozenset(chosen)
-        pick = _pick_step(candidates, tiebreak, rng)
-        chosen.add(pick.id)
-        spent += pick.cost
-        for g in election.approvers[instance.projects.index(pick)]:
+        # money only falls, so a project that does not fit never will
+        rest = [k for k in rest if e.costs[k] <= left]
+        if not rest:
+            return frozenset(e.ids[k] for k in chosen)
+        gains = [sum(e.weights[g] * gain[counts[g]] for g in e.approvers[k])
+                 for k in rest]
+        top = max(gains)
+        ties = [k for k, v in zip(rest, gains) if v == top]
+        if rng is not None:
+            ties.sort(key=e.ids.__getitem__)
+            pick = ties[rng.randrange(len(ties))]
+        elif tiebreak.variant == "lex-by-id":
+            pick = min(ties, key=e.ids.__getitem__)
+        else:  # cheapest-first, and worst-sw/worst-rp in its place
+            pick = min(ties, key=lambda k: (e.costs[k], e.ids[k]))
+        rest.remove(pick)
+        chosen.append(pick)
+        left -= e.costs[pick]
+        for g in e.approvers[pick]:
             counts[g] += 1
-
-
-def _pick_step(candidates, tiebreak: TieBreakPolicy, rng):
-    if tiebreak.variant == "cheapest-first":
-        return min(candidates, key=lambda p: (p.cost, p.id))
-    if tiebreak.variant == "lex-by-id":
-        return min(candidates, key=lambda p: p.id)
-    if tiebreak.variant == "random":
-        ordered = sorted(candidates, key=lambda p: p.id)
-        return ordered[rng.randrange(len(ordered))]
-    raise ValueError(
-        f"tie-break {tiebreak.variant!r} is not defined for greedy selection")

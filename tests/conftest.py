@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's search code: exhaustive
 bitmask enumeration for the optimizers, a full subset scan for the fairness
-checker, and a breakpoint solve for the payment threshold.  Tests compare
+checker, a breakpoint solve for the payment threshold, and voter-by-voter
+runs of equal shares (on that threshold) and of greedy sPAV.  Tests compare
 the fast implementations against these.
 """
 
@@ -18,7 +19,9 @@ from hypothesis import settings
 
 from pbvoting import core, sequential
 from pbvoting.core import ApprovalProfile, PBInstance, Project, harmonic
+from pbvoting.exact import TieBreakPolicy
 from pbvoting.instances import city, tiny
+from pbvoting.sequential import EqualSharesTrace
 
 # Property tests draw the same examples on every run and carry no deadline,
 # so a slow or busy machine can neither change nor fail their outcome.
@@ -75,24 +78,10 @@ def _oracle_tables(instance: PBInstance, profile: ApprovalProfile) -> dict:
     in a row, so one cached election suffices."""
     ids = list(instance.project_ids)
     m = len(ids)
-    costs = [instance.cost(pid) for pid in ids]
-    voter_masks = []
-    for ballot in profile.ballots:
-        mask = 0
-        for j, pid in enumerate(ids):
-            if pid in ballot:
-                mask |= 1 << j
-        voter_masks.append(mask)
+    cost, voter_masks = _subsets(instance, profile)
     # harmonic scores in units of 1/lcm(1..m), so they add up as integers
     unit = math.lcm(*range(1, m + 1))
     harm = [int(harmonic(k) * unit) for k in range(m + 1)]
-
-    # cost of each subset: that of the subset without its lowest project,
-    # plus that project's cost
-    cost = [Fraction(0)] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        cost[mask] = cost[mask ^ low] + costs[low.bit_length() - 1]
 
     scored = []  # (mask, sw, rp, pav) of every feasible subset
     for mask in range(1 << m):
@@ -116,6 +105,23 @@ def _oracle_tables(instance: PBInstance, profile: ApprovalProfile) -> dict:
             for objective, top in zip(objectives, best)}
 
 
+def _subsets(instance: PBInstance, profile: ApprovalProfile
+             ) -> tuple[list[Fraction], list[int]]:
+    """The cost of every project subset, indexed by its bitmask over the
+    projects in instance order, and each voter's ballot as such a mask."""
+    ids = instance.project_ids
+    costs = [instance.cost(pid) for pid in ids]
+    # cost of each subset: that of the subset without its lowest project,
+    # plus that project's cost
+    cost = [Fraction(0)] * (1 << len(ids))
+    for mask in range(1, len(cost)):
+        low = mask & -mask
+        cost[mask] = cost[mask ^ low] + costs[low.bit_length() - 1]
+    voter_masks = [sum(1 << j for j, pid in enumerate(ids) if pid in ballot)
+                   for ballot in profile.ballots]
+    return cost, voter_masks
+
+
 # ---------------------------------------------------------------------------
 # brute-force fairness oracle: scan every jointly-approved project set
 
@@ -128,22 +134,20 @@ def oracle_ejr_violated(instance: PBInstance, profile: ApprovalProfile,
     the property.  T ranges over all affordable project subsets, of at most
     `t_cap` projects when a cap is given.
     """
-    ids = list(instance.project_ids)
-    m = len(ids)
     n = profile.n_voters
     if n == 0:
         return False
     share = Fraction(instance.budget, n)
+    cost, voter_masks = _subsets(instance, profile)
     overlap = [len(ballot & bundle) for ballot in profile.ballots]
-    for mask in range(1, 1 << m):
-        T = frozenset(ids[j] for j in range(m) if mask & (1 << j))
-        if instance.cost_of(T) > instance.budget:
+    for mask in range(1, len(cost)):
+        size = mask.bit_count()  # |T|
+        if cost[mask] > instance.budget or (t_cap is not None
+                                            and size > t_cap):
             continue
-        if t_cap is not None and len(T) > t_cap:
-            continue
-        supporters = [i for i in range(n)
-                      if T <= profile.ballots[i] and overlap[i] < len(T)]
-        if supporters and share * len(supporters) >= instance.cost_of(T):
+        supporters = sum(1 for vm, k in zip(voter_masks, overlap)
+                         if vm & mask == mask and k < size)
+        if supporters and share * supporters >= cost[mask]:
             return True
     return False
 
@@ -174,6 +178,82 @@ def oracle_q(cost, budgets, utilities):
                 return q
         prev = bp
     raise AssertionError("no segment solved; inputs degenerate")
+
+
+# ---------------------------------------------------------------------------
+# per-voter oracles for the sequential rules
+
+def oracle_equal_shares(instance: PBInstance, profile: ApprovalProfile,
+                        exhaust: bool = False) -> EqualSharesTrace:
+    """Equal shares with approval utilities, voter by voter, as a trace.
+
+    Every voter starts with budget/n.  Each round funds the unfunded project
+    with minimal `oracle_q` threshold q over its approvers (ties to the
+    cheaper project, then the smaller id) and charges each approver
+    min(budget, q).  With `exhaust`, the epsilon->0 exhaustion of
+    `rule_x_eps` follows as its docstring defines it: the same rounds with
+    every voter paying for every project, the minimal uniform threshold r
+    over all unfunded projects, and min(budget, r) charged to everyone.
+    """
+    n = profile.n_voters
+    budgets = [Fraction(instance.budget, n)] * n
+    trace = EqualSharesTrace()
+    payers = [lambda pid: [int(pid in ballot) for ballot in profile.ballots]]
+    if exhaust:
+        payers.append(lambda pid: [1] * n)
+    for utilities in payers:
+        while True:
+            best = None
+            for p in instance.projects:
+                if p.id in trace.charges:
+                    continue
+                q = oracle_q(p.cost, budgets, utilities(p.id))
+                if q is not None and (best is None
+                                      or (q, p.cost, p.id) < best):
+                    best = (q, p.cost, p.id)
+            if best is None:
+                break
+            q, _, pid = best
+            charges = [min(b, u * q)
+                       for b, u in zip(budgets, utilities(pid))]
+            budgets = [b - c for b, c in zip(budgets, charges)]
+            trace.funded.append(pid)
+            trace.charges[pid] = charges
+    trace.final_budgets = budgets
+    return trace
+
+
+def oracle_seq_pav(instance: PBInstance, profile: ApprovalProfile,
+                   policy: TieBreakPolicy) -> frozenset:
+    """Greedy sPAV, voter by voter, in Fractions.
+
+    Each step adds the affordable project with the largest sum over its
+    approvers of 1/(k+1), k the approver's funded approved projects.  Ties
+    go to the cheaper project, then the smaller id (cheapest-first), to the
+    smaller id (lex-by-id), or to a draw from the policy's seeded generator
+    over the tied ids in ascending order (random).
+    """
+    rng = random.Random(policy.seed) if policy.variant == "random" else None
+    funded: set[str] = set()
+    left = instance.budget
+    while True:
+        gains = {p.id: sum((Fraction(1, len(ballot & funded) + 1)
+                            for ballot in profile.ballots if p.id in ballot),
+                           Fraction(0))
+                 for p in instance.projects
+                 if p.id not in funded and p.cost <= left}
+        if not gains:
+            return frozenset(funded)
+        top = max(gains.values())
+        ties = sorted(pid for pid, gain in gains.items() if gain == top)
+        if rng is not None:
+            pick = ties[rng.randrange(len(ties))]
+        elif policy.variant == "lex-by-id":
+            pick = ties[0]
+        else:
+            pick = min(ties, key=lambda pid: (instance.cost(pid), pid))
+        funded.add(pick)
+        left -= instance.cost(pick)
 
 
 def oracle_equal_shares_eps(instance: PBInstance, profile: ApprovalProfile,

@@ -37,9 +37,27 @@ def test_solve_reports_a_node_budget_failure(capsys):
 def test_bench_reports_a_node_budget_failure_of_every_row(capsys):
     assert main(["bench", "--dataset", "city", "--rules", "CC",
                  "--max-nodes", "10"]) == 1
-    assert capsys.readouterr().err == (
-        "error: every row failed; first failure: optima: exceeded search "
-        "budget of 10 nodes in the optimum phase of the sw search\n")
+    out, err = capsys.readouterr()
+    assert out == ""  # no row has ratios, so there is no summary
+    assert err == (
+        "FAILED city CC: optima: exceeded search budget of 10 nodes in the "
+        "optimum phase of the sw search\n")
+
+
+def test_bench_writes_the_rows_when_every_row_failed(tmp_path, capsys):
+    inst, _ = tiny()
+    (tmp_path / "empty.pb").write_text(write_pb(inst, ApprovalProfile(())),
+                                       encoding="utf-8")
+    rows, svg = tmp_path / "rows.csv", tmp_path / "plot.svg"
+    assert main(["bench", "--dataset", f"pabulib:{tmp_path}", "--rules",
+                 "RX", "--out-csv", str(rows), "--out-svg", str(svg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "FAILED empty RX: equal shares needs at least one voter\n"
+    assert rows.read_text(encoding="utf-8").splitlines()[1:] == [
+        ",".join(["empty", "RX"] + [""] * 6
+                 + ["equal shares needs at least one voter"])]
+    assert not svg.exists()
 
 
 def test_bench_records_a_zero_voter_election_as_failed_rows(tmp_path, capsys):

@@ -30,11 +30,11 @@ v1;p
 
 
 def test_minimal_fixture():
-    inst, prof, pab = parse_pb(MINIMAL)
+    inst, prof, meta = parse_pb(MINIMAL)
     assert inst.budget == 1000
     assert inst.cost("p") == 100
     assert prof.ballots == (frozenset({"p"}),)
-    assert pab.meta_dict()["num_votes"] == "1"
+    assert meta["num_votes"] == "1"
 
 
 def test_city_golden_file_byte_exact(city_pair):
@@ -112,8 +112,8 @@ def test_empty_profile_roundtrip():
 def test_extra_meta_preserved_and_conflicts_rejected(city_pair):
     inst, prof = city_pair
     text = write_pb(inst, prof, {"description": "three districts"})
-    _, _, pab = parse_pb(text)
-    assert pab.meta_dict()["description"] == "three districts"
+    _, _, meta = parse_pb(text)
+    assert meta["description"] == "three districts"
     with pytest.raises(ValueError, match="derived"):
         write_pb(inst, prof, {"budget": "999"})
 

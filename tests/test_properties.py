@@ -14,17 +14,19 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_memos, oracle_ejr_violated, oracle_search
+from conftest import (clear_memos, oracle_ejr_violated, oracle_equal_shares,
+                      oracle_search, oracle_seq_pav, random_instance)
 from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            compile_election, pav_score, representation,
                            social_welfare)
 from pbvoting.exact import (SearchBudget, TieBreakPolicy, _Search,
                             optimum_value, solve_av, solve_cc, solve_pav)
 from pbvoting.fairness import find_ejr_violation, is_cohesive, max_t_cap
-from pbvoting.sequential import (EqualSharesTrace, _approval_phase, rule_x,
+from pbvoting.sequential import (EqualSharesTrace, NoVotersError, rule_x,
                                  rule_x_eps, seq_pav)
 
 
@@ -291,9 +293,46 @@ def test_equal_shares_traces_replay_the_shared_phase(election):
         assert all(b >= 0 for b in trace.final_budgets)
         assert sum(trace.final_budgets) + inst.cost_of(bundle) == inst.budget
     # the replay ends where the approval phase ended
-    e = compile_election(inst, prof)
-    assert warm[0][1].final_budgets == [_approval_phase(e).budgets[g]
-                                        for g in e.group_of]
+    assert warm[0][1].final_budgets == \
+        oracle_equal_shares(inst, prof).final_budgets
+
+
+# elections of `conftest.random_instance`: ballots drawn freely, so greedy
+# sPAV and RX-eps part from greedy AV and RX far more often than in the
+# pooled ballots of the strategies above
+seeded_elections = st.builds(random_instance, st.integers(0, 10 ** 9))
+
+
+@given(st.one_of(mixed_unit_elections(), seeded_elections))
+def test_equal_shares_match_the_per_voter_oracle(election):
+    inst, prof = election
+    if not prof.n_voters:
+        with pytest.raises(NoVotersError):
+            rule_x_eps(inst, prof)
+        return
+    for exhaust, run in ((False, lambda trace: rule_x(inst, prof, trace)),
+                         (True, lambda trace: rule_x_eps(inst, prof,
+                                                         trace=trace))):
+        expected = oracle_equal_shares(inst, prof, exhaust)
+        trace = EqualSharesTrace()
+        assert run(trace) == frozenset(expected.funded)
+        assert trace == expected
+        assert run(None) == frozenset(expected.funded)
+
+
+@given(st.one_of(mixed_unit_elections(), seeded_elections), st.booleans())
+def test_seq_pav_matches_the_fraction_oracle(election, reverse):
+    inst, prof = election
+    if reverse:  # so that instance order and id order differ
+        inst = PBInstance(inst.projects[::-1], inst.budget)
+    for policy in (TieBreakPolicy.cheapest(), TieBreakPolicy.lex(),
+                   TieBreakPolicy.random_seeded(0),
+                   TieBreakPolicy.random_seeded(11)):
+        assert seq_pav(inst, prof, policy) == \
+            oracle_seq_pav(inst, prof, policy)
+    # worst-sw and worst-rp have no tie set to minimize over
+    for policy in (TieBreakPolicy.worst_sw(), TieBreakPolicy.worst_rp()):
+        assert seq_pav(inst, prof, policy) == seq_pav(inst, prof)
 
 
 def _outcomes(inst, prof):
