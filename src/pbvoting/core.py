@@ -158,8 +158,8 @@ class Election:
     twins: tuple[int, ...]
 
 
-# the last compiled pair: weak references to its instance and profile, and
-# its election
+# the last two compiled pairs, the newest first: weak references to the
+# instance and profile of each, and its election
 _last: tuple = ()
 
 
@@ -169,23 +169,32 @@ def compile_election(instance: PBInstance,
 
     Memoized twice, so the rules, optima and audits of one election share
     one build.  First by identity: a call with the same instance and profile
-    objects as the last call returns its election at once.  That pair is
-    held through weak references, so it keeps no profile alive.  Any other
-    call validates the profile, renumbers its ballots and looks them up by
-    value.  The value memo keeps two elections, so that the residual
-    election of `rule_x_pav` does not evict the one it came from, and it
-    keeps each voter's ballot as a tuple of project numbers, not the profile
-    itself.
+    objects as one of the last two pairs it compiled returns that election
+    at once, so the residual election of `rule_x_pav` does not push out the
+    pair it came from.  Those pairs are held through weak references, so
+    they keep no profile alive.  Any other call renumbers each distinct
+    ballot once and looks the ballots up by value; a project id that the
+    instance does not know falls back to `ApprovalProfile.validate`, which
+    names the ballot.  The value memo keeps two elections, for the same
+    reason, and it keeps each voter's ballot as a tuple of project numbers,
+    not the profile itself.
     """
     global _last
-    if _last and _last[0]() is instance and _last[1]() is profile:
-        return _last[2]
-    profile.validate(instance)
+    for held in _last:
+        if held[0]() is instance and held[1]() is profile:
+            return held[2]
     index = {p.id: k for k, p in enumerate(instance.projects)}
-    voters = tuple(tuple(sorted(map(index.__getitem__, b)))
-                   for b in profile.ballots)
-    election = _compile(instance, voters)
-    _last = (weakref.ref(instance), weakref.ref(profile), election)
+    numbered = dict.fromkeys(profile.ballots)
+    try:
+        for ballot in numbered:
+            numbered[ballot] = tuple(sorted(map(index.__getitem__, ballot)))
+    except KeyError:
+        profile.validate(instance)
+        raise
+    election = _compile(instance,
+                        tuple(map(numbered.__getitem__, profile.ballots)))
+    _last = ((weakref.ref(instance), weakref.ref(profile), election),
+             *_last[:1])
     return election
 
 

@@ -20,6 +20,15 @@ cell count and then ignored; `write_pb` writes only ``project_id;cost`` and
 also returns the META section as a mapping, unknown keys included.  All
 failures raise :class:`PabulibParseError` with a line number; the parser
 never leaks a bare exception on malformed input.
+
+VOTES rows are streamed: each row is split into cells once, and only its
+vote cell is read.  A vote is the set of its comma-separated ids, each
+stripped, with empty ones dropped.  A vote whose ids, as written, are all
+non-empty project ids is that set already, since project ids are stripped
+cells; only the others are stripped id by id and, if one is still unknown,
+scanned for the first unknown id.  The errors are checked in a fixed order:
+every row's cell count first, then the ``voter_id`` and ``vote`` columns,
+then the first unknown id, then the vote count.
 """
 
 from __future__ import annotations
@@ -83,21 +92,67 @@ def _split_sections(text: str) -> dict[str, tuple[int, list[tuple[int, str]]]]:
     return sections
 
 
-def _parse_table(rows: list[tuple[int, str]], section: str
-                 ) -> tuple[tuple[str, ...], list[tuple[int, tuple[str, ...]]]]:
+def _header(rows: list[tuple[int, str]], section: str
+            ) -> tuple[int, tuple[str, ...]]:
     if not rows:
         raise PabulibParseError(None, f"section {section} has no header row")
     header_line, header = rows[0]
-    columns = tuple(h.strip() for h in header.split(";"))
+    return header_line, tuple(h.strip() for h in header.split(";"))
+
+
+def _width_error(section: str, lineno: int, cells: int, header_line: int,
+                 columns: tuple[str, ...]) -> PabulibParseError:
+    return PabulibParseError(
+        lineno, f"{section} row has {cells} cells, "
+        f"header (line {header_line}) has {len(columns)}")
+
+
+def _parse_table(rows: list[tuple[int, str]], section: str
+                 ) -> tuple[tuple[str, ...], list[tuple[int, tuple[str, ...]]]]:
+    header_line, columns = _header(rows, section)
     data = []
     for lineno, line in rows[1:]:
         cells = tuple(c.strip() for c in line.split(";"))
         if len(cells) != len(columns):
-            raise PabulibParseError(
-                lineno, f"{section} row has {len(cells)} cells, "
-                f"header (line {header_line}) has {len(columns)}")
+            raise _width_error(section, lineno, len(cells), header_line,
+                               columns)
         data.append((lineno, cells))
     return columns, data
+
+
+def _parse_votes(rows: list[tuple[int, str]], known: frozenset[str]
+                 ) -> list[frozenset[str]]:
+    """The ballots of the VOTES rows, checked as `_parse_table` checks a
+    table, and then for their columns and project ids, in that order.
+    `known` holds the non-empty project ids."""
+    header_line, columns = _header(rows, "VOTES")
+    missing = [c for c in ("voter_id", "vote") if c not in columns]
+    vote_col = None if missing else columns.index("vote")
+    ballots = []
+    unknown: Optional[PabulibParseError] = None
+    for lineno, line in rows[1:]:
+        cells = line.split(";")
+        if len(cells) != len(columns):
+            raise _width_error("VOTES", lineno, len(cells), header_line,
+                               columns)
+        if vote_col is None or unknown is not None:
+            continue  # only the widths are left to check
+        ids = cells[vote_col].split(",")
+        ballot = frozenset(ids)
+        if not ballot <= known:
+            ballot = frozenset(map(str.strip, ids)) - {""}
+            if not ballot <= known:
+                pid = next(pid for pid in map(str.strip, ids)
+                           if pid and pid not in known)
+                unknown = PabulibParseError(
+                    lineno, f"vote references unknown project id {pid!r}")
+        ballots.append(ballot)
+    if missing:
+        raise PabulibParseError(
+            None, f"VOTES is missing column {missing[0]!r}")
+    if unknown is not None:
+        raise unknown
+    return ballots
 
 
 def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
@@ -157,20 +212,8 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
             None, f"num_projects={meta['num_projects']} but "
             f"PROJECTS has {len(projects)} rows")
 
-    vcols, vrows = _parse_table(sections["VOTES"][1], "VOTES")
-    for needed in ("voter_id", "vote"):
-        if needed not in vcols:
-            raise PabulibParseError(None, f"VOTES is missing column {needed!r}")
-    vote_col = vcols.index("vote")
-    ballots = []
-    for lineno, cells in vrows:
-        field = cells[vote_col]
-        ids = [s.strip() for s in field.split(",") if s.strip()] if field else []
-        for pid in ids:
-            if pid not in known:
-                raise PabulibParseError(
-                    lineno, f"vote references unknown project id {pid!r}")
-        ballots.append(frozenset(ids))
+    # a vote never names the empty id: its empty ids are dropped
+    ballots = _parse_votes(sections["VOTES"][1], frozenset(known - {""}))
     if num_votes != len(ballots):
         raise PabulibParseError(
             None, f"num_votes={meta['num_votes']} but VOTES has "

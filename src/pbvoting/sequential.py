@@ -55,7 +55,13 @@ one, then the smaller id, as a full scan of all projects would.
 `seq_pav` runs on the compiled election's integers: costs and the budget in
 its money units, and harmonic gains scaled by L = lcm(1..K), K the longest
 ballot, as in `exact` (`exact.harmonic_gains`).  A group of w voters with c
-funded approvals adds w * L/(c+1) to a project's gain.
+funded approvals adds w * L/(c+1) to a project's gain.  Gains are
+re-scored lazily, by the argument the equal-shares loop uses: counts only
+rise and the gain table does not increase, so the gain a project had when
+last scored bounds its current gain from above.  Each round re-scores only
+the projects whose stored gain reaches the largest stored gain, until every
+project at the top is fresh; those are then exactly the projects of
+largest gain, the tie set a full re-score would give.
 """
 
 from __future__ import annotations
@@ -298,13 +304,19 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
     increment; stops when nothing fits.  Increment ties are resolved by the
     given policy (default: cheaper cost, then lexicographic id).  A greedy
     step has no tie set of whole bundles to minimize a secondary score over,
-    so worst-sw and worst-rp fall back to cheapest-first.
+    so worst-sw and worst-rp fall back to cheapest-first.  Increments are
+    re-scored lazily (see the module docstring).
     """
     e = compile_election(instance, profile)
     gain = harmonic_gains(max(map(len, e.ballots), default=0))
     rng = (random.Random(tiebreak.seed)
            if tiebreak.variant == "random" else None)
     counts = [0] * len(e.weights)  # funded approved projects per group
+    worth = [w * gain[0] for w in e.weights]  # what one more gives a group
+    # each project's gain when last scored, and the round it was scored in;
+    # nobody has a funded approval yet, so every voter gains gain[0]
+    stored = [gain[0] * mask.bit_count() for mask in e.project_masks]
+    scored = [0] * len(e.ids)
     chosen: list[int] = []
     left = e.budget
     rest = list(range(len(e.ids)))
@@ -313,10 +325,18 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
         rest = [k for k in rest if e.costs[k] <= left]
         if not rest:
             return frozenset(e.ids[k] for k in chosen)
-        gains = [sum(e.weights[g] * gain[counts[g]] for g in e.approvers[k])
-                 for k in rest]
-        top = max(gains)
-        ties = [k for k, v in zip(rest, gains) if v == top]
+        # a stored gain bounds the project's gain from above; re-score the
+        # projects at the top until all of them are fresh
+        while True:
+            top = max(stored[k] for k in rest)
+            stale = [k for k in rest
+                     if stored[k] == top and scored[k] != len(chosen)]
+            if not stale:
+                break
+            for k in stale:
+                stored[k] = sum(map(worth.__getitem__, e.approvers[k]))
+                scored[k] = len(chosen)
+        ties = [k for k in rest if stored[k] == top]
         if rng is not None:
             ties.sort(key=e.ids.__getitem__)
             pick = ties[rng.randrange(len(ties))]
@@ -329,3 +349,4 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
         left -= e.costs[pick]
         for g in e.approvers[pick]:
             counts[g] += 1
+            worth[g] = e.weights[g] * gain[counts[g]]

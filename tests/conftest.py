@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's search code: exhaustive
 bitmask enumeration for the optimizers, a full subset scan for the fairness
 checker, a breakpoint solve for the payment threshold, and voter-by-voter
 runs of equal shares (on that threshold) and of greedy sPAV.  Tests compare
-the fast implementations against these.
+the fast implementations against these.  `oracle_parse_pb` is the `.pb`
+parser written plainly, stripping every cell of every row.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import settings
@@ -21,6 +23,8 @@ from pbvoting import core, sequential
 from pbvoting.core import ApprovalProfile, PBInstance, Project, harmonic
 from pbvoting.exact import TieBreakPolicy
 from pbvoting.instances import city, tiny
+from pbvoting.pabulib import (REQUIRED_META, PabulibParseError,
+                              _count, _decimal_fraction)
 from pbvoting.sequential import EqualSharesTrace
 
 # Property tests draw the same examples on every run and carry no deadline,
@@ -304,3 +308,124 @@ def random_instance(seed: int, max_projects: int = 12
         k = rng.randint(0, m)
         ballots.append(frozenset(rng.sample([p.id for p in projects], k)))
     return PBInstance(projects, budget), ApprovalProfile(tuple(ballots))
+
+
+# ---------------------------------------------------------------------------
+# plain `.pb` parser: every cell of every row stripped, every vote id checked
+
+def oracle_parse_pb(text: str
+                    ) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
+    """`pabulib.parse_pb` written plainly, with no shortcut for votes.
+
+    Every table row is split into stripped cells, and every row's cell count
+    is checked before the VOTES columns and the vote ids.  Each vote's ids
+    are stripped one by one, empty ones skipped and unknown ones rejected.
+    Decimals and counts are read with the library's helpers, and every
+    failure is the library's `PabulibParseError`, with the same message and
+    line that `parse_pb` must give.
+    """
+    sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
+    current: Optional[str] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\r")
+        if line in ("META", "PROJECTS", "VOTES"):
+            if line in sections:
+                raise PabulibParseError(lineno, f"duplicate section {line}")
+            sections[line] = (lineno, [])
+            current = line
+            continue
+        if not line.strip():
+            continue
+        if current is None:
+            raise PabulibParseError(lineno, "content before any section header")
+        sections[current][1].append((lineno, line))
+    for name in ("META", "PROJECTS", "VOTES"):
+        if name not in sections:
+            raise PabulibParseError(None, f"missing section {name}")
+
+    def table(rows, section):
+        if not rows:
+            raise PabulibParseError(None, f"section {section} has no header row")
+        header_line, header = rows[0]
+        columns = tuple(h.strip() for h in header.split(";"))
+        data = []
+        for lineno, line in rows[1:]:
+            cells = tuple(c.strip() for c in line.split(";"))
+            if len(cells) != len(columns):
+                raise PabulibParseError(
+                    lineno, f"{section} row has {len(cells)} cells, "
+                    f"header (line {header_line}) has {len(columns)}")
+            data.append((lineno, cells))
+        return columns, data
+
+    meta: dict[str, str] = {}
+    meta_line: dict[str, int] = {}
+    for lineno, line in sections["META"][1]:
+        parts = line.split(";")
+        if len(parts) != 2:
+            raise PabulibParseError(lineno, f"META row needs key;value, got {line!r}")
+        key, value = parts[0].strip(), parts[1].strip()
+        if key == "key" and value == "value" and not meta:
+            continue
+        if key in meta_line:
+            raise PabulibParseError(lineno, f"duplicate meta key {key!r}")
+        meta_line[key] = lineno
+        meta[key] = value
+    for key in REQUIRED_META:
+        if key not in meta:
+            raise PabulibParseError(None, f"META is missing required key {key!r}")
+    vote_type = meta.get("vote_type", "approval")
+    if vote_type != "approval":
+        raise PabulibParseError(
+            None, f"unsupported vote_type {vote_type!r}: only approval "
+            "ballots are supported")
+    budget = _decimal_fraction(meta["budget"], meta_line["budget"], "budget")
+    if budget <= 0:
+        raise PabulibParseError(None, f"budget must be positive, got {budget}")
+    num_projects, num_votes = (_count(meta[key], key, meta_line[key])
+                               for key in ("num_projects", "num_votes"))
+
+    pcols, prows = table(sections["PROJECTS"][1], "PROJECTS")
+    for needed in ("project_id", "cost"):
+        if needed not in pcols:
+            raise PabulibParseError(None, f"PROJECTS is missing column {needed!r}")
+    id_col, cost_col = pcols.index("project_id"), pcols.index("cost")
+    projects = []
+    for lineno, cells in prows:
+        pid = cells[id_col]
+        cost = _decimal_fraction(cells[cost_col], lineno, f"project {pid!r}")
+        if cost <= 0:
+            raise PabulibParseError(
+                lineno, f"project {pid!r} has non-positive cost {cells[cost_col]}")
+        projects.append(Project(pid, cost))
+    if not projects:
+        raise PabulibParseError(sections["PROJECTS"][0],
+                                "PROJECTS has no project rows")
+    known = {p.id for p in projects}
+    if len(known) != len(projects):
+        raise PabulibParseError(None, "duplicate project ids in PROJECTS")
+    if num_projects != len(projects):
+        raise PabulibParseError(
+            None, f"num_projects={meta['num_projects']} but "
+            f"PROJECTS has {len(projects)} rows")
+
+    vcols, vrows = table(sections["VOTES"][1], "VOTES")
+    for needed in ("voter_id", "vote"):
+        if needed not in vcols:
+            raise PabulibParseError(None, f"VOTES is missing column {needed!r}")
+    vote_col = vcols.index("vote")
+    ballots = []
+    for lineno, cells in vrows:
+        field = cells[vote_col]
+        ids = [s.strip() for s in field.split(",") if s.strip()] if field else []
+        for pid in ids:
+            if pid not in known:
+                raise PabulibParseError(
+                    lineno, f"vote references unknown project id {pid!r}")
+        ballots.append(frozenset(ids))
+    if num_votes != len(ballots):
+        raise PabulibParseError(
+            None, f"num_votes={meta['num_votes']} but VOTES has "
+            f"{len(ballots)} rows")
+    return (PBInstance(tuple(projects), budget),
+            ApprovalProfile(tuple(ballots)), meta)

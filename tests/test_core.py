@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import pbvoting
+from conftest import clear_memos
+from pbvoting import core
 from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            UnknownProjectError, compile_election, harmonic,
                            is_feasible, pav_score, representation,
@@ -90,14 +92,27 @@ def test_every_exported_name_resolves():
 
 def test_a_repeated_compile_returns_the_election_at_once(tiny_pair):
     inst, prof = tiny_pair
-    profile = ApprovalProfile(prof.ballots)
-    election = compile_election(inst, profile)
-    assert compile_election(inst, profile) is election
-    # the identity check holds the profile only through a weak reference
-    ref = weakref.ref(profile)
-    del profile
+    # two pairs are held, so the second build does not push out the first
+    pairs = [(PBInstance(inst.projects, inst.budget * k),
+              ApprovalProfile(prof.ballots)) for k in (1, 2)]
+    elections = [compile_election(*pair) for pair in pairs]
+    hits = core._compile.cache_info().hits
+    for pair, election in zip(pairs, elections):
+        assert compile_election(*pair) is election
+    assert core._compile.cache_info().hits == hits  # matched by identity
+    # ... and through weak references: the value memo keeps each ballot as
+    # a tuple of project numbers, so no profile outlives its last holder
+    instances = [weakref.ref(inst) for inst, _ in pairs]
+    profiles = [weakref.ref(prof) for _, prof in pairs]
+    del pairs, pair
     gc.collect()
-    assert ref() is None
+    assert core._compile.cache_info().currsize == 2
+    assert [ref() for ref in profiles] == [None, None]
+    # the value memo keys on the instance; once it is cleared, nothing else
+    # keeps either instance alive
+    core._compile.cache_clear()
+    gc.collect()
+    assert [ref() for ref in instances] == [None, None]
 
 
 def test_an_equal_profile_gets_the_same_election(tiny_pair):
@@ -121,3 +136,16 @@ def test_an_unknown_project_raises_right_after_a_hit(tiny_pair):
     bad = ApprovalProfile(prof.ballots + (frozenset({"nope"}),))
     with pytest.raises(UnknownProjectError, match="nope"):
         compile_election(inst, bad)
+
+
+def test_an_unknown_project_raises_on_a_cold_compile(tiny_pair):
+    # renumbering meets the unknown id first; the message is the one that
+    # validating the profile gives
+    inst, prof = tiny_pair
+    clear_memos()
+    bad = ApprovalProfile(prof.ballots[:2] + (frozenset({"zz", "p1"}),)
+                          + prof.ballots[2:] + (frozenset({"nope"}),))
+    with pytest.raises(UnknownProjectError) as raised:
+        compile_election(inst, bad)
+    assert str(raised.value) == "ballot 2 approves unknown project(s) ['zz']"
+    assert core._compile.cache_info().currsize == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import oracle_parse_pb, random_instance
 from pbvoting.core import ApprovalProfile, PBInstance, Project
 from pbvoting.datagen import generate
 from pbvoting.exact import solve_av
@@ -226,7 +226,21 @@ def _mutate(lines: list[str], rng: random.Random) -> list[str]:
     return lines
 
 
+def _parsed(parse, text):
+    """What `parse` makes of `text`: its result, or its parse error as
+    (type, message, line).  Any other exception propagates."""
+    try:
+        return parse(text)
+    except PabulibParseError as e:
+        return type(e), str(e), e.line
+
+
+def _same_as_oracle(text):
+    assert _parsed(parse_pb, text) == _parsed(oracle_parse_pb, text), text
+
+
 def test_mutated_city_file_raises_only_parse_errors():
+    # ... and gives the result or the parse error that the oracle gives
     city_lines = (DATA / "city.pb").read_text(encoding="utf-8").splitlines()
     rng = random.Random(0)
     for _ in range(1000):
@@ -235,8 +249,79 @@ def test_mutated_city_file_raises_only_parse_errors():
             lines = _mutate(lines, rng)
         text = "\n".join(lines) + "\n"
         try:
-            parse_pb(text)
-        except PabulibParseError:
-            pass
+            got = _parsed(parse_pb, text)
         except Exception as e:  # any other exception breaks the property
             pytest.fail(f"{type(e).__name__}: {e}\n{text}")
+        assert got == _parsed(oracle_parse_pb, text), text
+
+
+def _pb_text(project_rows, vote_rows, votes_header="voter_id;vote",
+             num_votes=None, end="\n"):
+    lines = ["META", "key;value", "budget;1000",
+             f"num_projects;{len(project_rows)}",
+             f"num_votes;{len(vote_rows) if num_votes is None else num_votes}",
+             "PROJECTS", "project_id;cost", *project_rows,
+             "VOTES", votes_header, *vote_rows]
+    return end.join(lines) + end
+
+
+TWO = ["p1;100", "p2;200"]
+
+
+@pytest.mark.parametrize("projects, votes, header", [
+    (TWO, ["v1; p1 , p2 ", "v2;\tp2"], "voter_id;vote"),  # blanks around ids
+    (TWO, ["v1;p1,,p2", "v2;,", "v3;p1,"], "voter_id;vote"),  # empty ids
+    (TWO, ["v1;p1,p1,p2,p2", "v2;p2,p1"], "voter_id;vote"),  # duplicate ids
+    (TWO, ["v1;p1", "v2;p1,zz", "v3;yy"], "voter_id;vote"),  # unknown ids
+    (TWO, ["v1;p1", "v2;zz", "v3;p1;extra"], "voter_id;vote"),  # then width
+    (TWO, ["v1;zz", "v2;p2"], "voter_id;votes"),  # width beats columns
+    (TWO, ["v1;zz;1", "v2;p2"], "voter_id;votes"),
+    (TWO, ["30;p1,p2;v1", "40;p2;v2"], "age;vote;voter_id"),
+    (TWO, ["v1;p1,p2;", "v2;p2"], "voter_id;vote;"),
+    (["p1;100", ";50"], ["v1;", "v2;p1,,", "v3; "], "voter_id;vote"),
+    (["p1;100", " ;50", "p 2;10"], ["v1;p 2, ,p1", "v2;p2"], "voter_id;vote"),
+])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_parse_matches_the_oracle_on_awkward_votes(projects, votes, header,
+                                                  end):
+    _same_as_oracle(_pb_text(projects, votes, header, end=end))
+    # blank lines between the votes are skipped, but count in line numbers
+    spaced = _pb_text(projects, [row + end for row in votes], header, end=end)
+    _same_as_oracle(spaced)
+
+
+VOTE_PIECES = ["p1", "p2", "p 3", "", " p1", "p2 ", "\tp 3", "zz", "p", " "]
+
+
+@st.composite
+def pb_texts(draw):
+    """`.pb` texts whose VOTES rows mix known, unknown, blank and empty ids,
+    with wrong widths, odd headers and wrong vote counts now and then."""
+    ids = draw(st.lists(st.sampled_from(["p1", "p2", "p 3", "p", ""]),
+                        min_size=1, max_size=4, unique=True))
+    project_rows = [draw(st.sampled_from(["{};10", " {} ;10", "{};5.5"]))
+                    .format(pid) for pid in ids]
+    header = draw(st.sampled_from(["voter_id;vote", "vote;voter_id",
+                                   "voter_id;vote;age", " voter_id ; vote ",
+                                   "voter_id;votes"]))
+    columns = [c.strip() for c in header.split(";")]
+    at = columns.index("vote") if "vote" in columns else 1
+    vote_rows = []
+    voters = draw(st.integers(0, 6))
+    for i in range(voters):
+        cells = [str(i)] * len(columns)
+        cells[at] = ",".join(draw(st.lists(st.sampled_from(VOTE_PIECES),
+                                           max_size=4)))
+        if draw(st.integers(0, 19)) == 0:
+            cells.append(draw(st.sampled_from(["", "p1"])))
+        vote_rows.append(";".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            vote_rows.append(" ")
+    num_votes = voters + draw(st.sampled_from([0, 0, 0, 1]))
+    return _pb_text(project_rows, vote_rows, header, num_votes,
+                    draw(st.sampled_from(["\n", "\r\n"])))
+
+
+@given(pb_texts())
+def test_parse_matches_the_oracle_on_generated_files(text):
+    _same_as_oracle(text)

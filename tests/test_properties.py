@@ -335,12 +335,16 @@ def test_seq_pav_matches_the_fraction_oracle(election, reverse):
         assert seq_pav(inst, prof, policy) == seq_pav(inst, prof)
 
 
+# sPAV's gains diminish on the elections of `random_instance`, where it
+# often parts from greedy AV; on those of `elections()` it hardly ever does,
+# so the two tests below draw both
 def _outcomes(inst, prof):
     return (rule_x(inst, prof), rule_x_eps(inst, prof), seq_pav(inst, prof),
             seq_pav(inst, prof, TieBreakPolicy.random_seeded(3)))
 
 
-@given(elections(), st.randoms(use_true_random=False))
+@given(st.one_of(elections(), seeded_elections),
+       st.randoms(use_true_random=False))
 def test_rules_ignore_voter_order(election, rng):
     inst, prof = election
     ballots = list(prof.ballots)
@@ -349,7 +353,7 @@ def test_rules_ignore_voter_order(election, rng):
         _outcomes(inst, prof)
 
 
-@given(elections(), st.integers(2, 4))
+@given(st.one_of(elections(), seeded_elections), st.integers(2, 4))
 def test_rules_ignore_duplicating_every_ballot(election, k):
     inst, prof = election
     assert _outcomes(inst, ApprovalProfile(prof.ballots * k)) == \
