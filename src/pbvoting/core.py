@@ -17,8 +17,10 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional
 
 Bundle = frozenset  # a bundle is simply a frozenset of project ids
@@ -172,57 +174,71 @@ def compile_election(instance: PBInstance,
     objects as one of the last two pairs it compiled returns that election
     at once, so the residual election of `rule_x_pav` does not push out the
     pair it came from.  Those pairs are held through weak references, so
-    they keep no profile alive.  Any other call renumbers each distinct
-    ballot once and looks the ballots up by value; a project id that the
-    instance does not know falls back to `ApprovalProfile.validate`, which
-    names the ballot.  The value memo keeps two elections, for the same
-    reason, and it keeps each voter's ballot as a tuple of project numbers,
-    not the profile itself.
+    they keep no profile alive.  Any other call turns each distinct ballot
+    once into a project bitmask, bit k standing for project k, and looks
+    the voters' masks up by value, a tuple of ints that hashes and compares
+    at C speed; a project id that the instance does not know falls back to
+    `ApprovalProfile.validate`, which names the ballot.  The value memo
+    keeps two elections, for the same reason, and it keeps each voter's
+    ballot as a project bitmask, not the profile itself.
     """
     global _last
     for held in _last:
         if held[0]() is instance and held[1]() is profile:
             return held[2]
-    index = {p.id: k for k, p in enumerate(instance.projects)}
-    numbered = dict.fromkeys(profile.ballots)
+    bit = {p.id: 1 << k for k, p in enumerate(instance.projects)}.__getitem__
     try:
-        for ballot in numbered:
-            numbered[ballot] = tuple(sorted(map(index.__getitem__, ballot)))
+        masks = {ballot: sum(map(bit, ballot))
+                 for ballot in set(profile.ballots)}
     except KeyError:
         profile.validate(instance)
         raise
     election = _compile(instance,
-                        tuple(map(numbered.__getitem__, profile.ballots)))
+                        tuple(map(masks.__getitem__, profile.ballots)))
     _last = ((weakref.ref(instance), weakref.ref(profile), election),
              *_last[:1])
     return election
 
 
+# binary digits b"0"/b"1" to the bytes 0/1 that `compress` reads
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 @functools.lru_cache(maxsize=2)
 def _compile(instance: PBInstance, voters: tuple) -> Election:
-    ballots = sorted(set(voters))
-    group = {ballot: g for g, ballot in enumerate(ballots)}
-    group_of = tuple(group[ballot] for ballot in voters)
-    group_masks = [0] * len(ballots)
+    m = len(instance.projects)
+    # each distinct mask as m binary digits, digit k for project k (the bit
+    # above project m - 1 pads bin() to m digits), decoded once into its
+    # ascending tuple of project numbers
+    top, projects = 1 << m, range(m)
+    digits = {mask: bin(mask | top)[:2:-1].encode() for mask in set(voters)}
+    decoded = {mask: tuple(compress(projects, row.translate(_FLAGS)))
+               for mask, row in digits.items()}
+    order = sorted(decoded, key=decoded.__getitem__)
+    ballots = tuple(map(decoded.__getitem__, order))
+    group = {mask: g for g, mask in enumerate(order)}
+    group_of = tuple(map(group.__getitem__, voters))
+    group_masks = [0] * len(order)
     for i, g in enumerate(group_of):
         group_masks[g] |= 1 << i
-    approver_lists: list[list[int]] = [[] for _ in instance.projects]
+    approver_lists: list[list[int]] = [[] for _ in projects]
     for g, ballot in enumerate(ballots):
         for k in ballot:
             approver_lists[k].append(g)
     approvers = tuple(map(tuple, approver_lists))
+    # column k of the voters' digits, from the last voter to the first, is
+    # project k's approver bitset in binary
+    table = b"".join(map(digits.__getitem__, reversed(voters)))
+    project_masks = tuple(int(table[k::m] or b"0", 2) for k in projects)
     unit = math.lcm(instance.budget.denominator,
                     *(p.cost.denominator for p in instance.projects))
     costs = tuple(int(p.cost * unit) for p in instance.projects)
     first: dict[tuple, int] = {}
     return Election(
-        ids=instance.project_ids, ballots=tuple(ballots),
-        weights=tuple(mask.bit_count() for mask in group_masks),
+        ids=instance.project_ids, ballots=ballots,
+        weights=tuple(map(Counter(voters).__getitem__, order)),
         group_of=group_of, approvers=approvers,
-        group_masks=tuple(group_masks),
-        # the groups are disjoint, so the sum of their masks is the union
-        project_masks=tuple(sum(group_masks[g] for g in groups)
-                            for groups in approvers),
+        group_masks=tuple(group_masks), project_masks=project_masks,
         unit=unit, costs=costs, budget=int(instance.budget * unit),
         twins=tuple(first.setdefault(key, k)
                     for k, key in enumerate(zip(costs, approvers))))

@@ -12,9 +12,13 @@ the decisive group is the set of all under-represented supporters of T.  That
 collapses the search to one candidate S per T:
 AND(approvers of each project in T) & under[|T|], where under[k] holds the
 voters with fewer than k funded approvals.  Voter sets are the bitsets of the
-compiled election (`core.compile_election`): one mask per ballot group builds
-under[k], and one per project gives its approvers.  Costs and the budget are
-its integer money.
+compiled election (`core.compile_election`), one per project giving its
+approvers.  under[k] is built from the funded projects' masks alone, with no
+walk over the ballots: starting from reached[0] = everyone, each funded
+project with approvers M sets reached[k] |= reached[k-1] & M for k = depth
+down to 1, so reached[k] ends up holding the voters with at least k funded
+approvals, and under[k] = everyone ^ reached[k].  Costs and the budget are
+the election's integer money.
 
 T is grown depth-first, adding projects in instance order, so every set is
 visited at most once.  A branch is cut when
@@ -106,6 +110,23 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
     return EjrVerdict(status, t_cap, None, examined)
 
 
+def _levels(election: Election, funded: frozenset, depth: int) -> list[int]:
+    """under[k] for k = 0..depth: the voters with fewer than k funded
+    approvals, as a voter bitset.
+
+    reached[k] holds the voters with at least k funded approvals; each
+    funded project's approvers move up one level, from the top level down
+    so that a project counts once per voter.
+    """
+    everyone = (1 << len(election.group_of)) - 1
+    reached = [everyone] + [0] * depth
+    for pid, mask in zip(election.ids, election.project_masks):
+        if pid in funded:
+            for k in range(depth, 0, -1):
+                reached[k] |= reached[k - 1] & mask
+    return [everyone ^ voters for voters in reached]
+
+
 def _search(election: Election, instance: PBInstance, funded: frozenset,
             t_cap: int) -> tuple[Optional[CohesiveWitness], int]:
     """Depth-first search over T in project order, with voter bitsets.
@@ -116,13 +137,7 @@ def _search(election: Election, instance: PBInstance, funded: frozenset,
     depth = min(t_cap, max(map(len, election.ballots), default=0))
     if depth == 0:
         return None, 0
-    # under[k]: voters with fewer than k funded approvals
-    under = [0] * (depth + 1)
-    is_funded = [p.id in funded for p in instance.projects]
-    for ballot, mask in zip(election.ballots, election.group_masks):
-        for k in range(sum(is_funded[j] for j in ballot) + 1, depth + 1):
-            under[k] |= mask
-
+    under = _levels(election, funded, depth)
     budget = election.budget
     items = []
     for p, cost, mask in zip(instance.projects, election.costs,

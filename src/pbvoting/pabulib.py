@@ -21,19 +21,24 @@ also returns the META section as a mapping, unknown keys included.  All
 failures raise :class:`PabulibParseError` with a line number; the parser
 never leaks a bare exception on malformed input.
 
-VOTES rows are streamed: each row is split into cells once, and only its
-vote cell is read.  A vote is the set of its comma-separated ids, each
-stripped, with empty ones dropped.  A vote whose ids, as written, are all
-non-empty project ids is that set already, since project ids are stripped
-cells; only the others are stripped id by id and, if one is still unknown,
-scanned for the first unknown id.  The errors are checked in a fixed order:
-every row's cell count first, then the ``voter_id`` and ``vote`` columns,
-then the first unknown id, then the vote count.
+VOTES rows are read as a whole: every row is split into cells in one pass
+and all cell counts are checked at once.  A vote is the set of its
+comma-separated ids, each stripped, with empty ones dropped.  Each distinct
+vote cell is read once, into one frozenset that every row with that cell
+shares, and one union test checks every id of every vote against the
+project ids.  A vote whose ids, as written, are all non-empty project ids
+is that set already, since project ids are stripped cells; only when the
+union test fails are the rows walked in order, the ids of each failing
+cell stripped and, if one is still unknown, the first unknown id reported.
+The errors are checked in a fixed order: every row's cell count first, then
+the ``voter_id`` and ``vote`` columns, then the first unknown id, then the
+vote count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Optional
 
 from .core import ApprovalProfile, PBInstance, Project
@@ -73,15 +78,14 @@ def _count(text: str, key: str, line: int) -> int:
 def _split_sections(text: str) -> dict[str, tuple[int, list[tuple[int, str]]]]:
     sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line in ("META", "PROJECTS", "VOTES"):
             if line in sections:
                 raise PabulibParseError(lineno, f"duplicate section {line}")
             sections[line] = (lineno, [])
             current = line
             continue
-        if not line.strip():
+        if not line or line.isspace():
             continue
         if current is None:
             raise PabulibParseError(lineno, "content before any section header")
@@ -126,33 +130,33 @@ def _parse_votes(rows: list[tuple[int, str]], known: frozenset[str]
     table, and then for their columns and project ids, in that order.
     `known` holds the non-empty project ids."""
     header_line, columns = _header(rows, "VOTES")
-    missing = [c for c in ("voter_id", "vote") if c not in columns]
-    vote_col = None if missing else columns.index("vote")
-    ballots = []
-    unknown: Optional[PabulibParseError] = None
-    for lineno, line in rows[1:]:
-        cells = line.split(";")
-        if len(cells) != len(columns):
-            raise _width_error("VOTES", lineno, len(cells), header_line,
-                               columns)
-        if vote_col is None or unknown is not None:
-            continue  # only the widths are left to check
-        ids = cells[vote_col].split(",")
-        ballot = frozenset(ids)
-        if not ballot <= known:
-            ballot = frozenset(map(str.strip, ids)) - {""}
-            if not ballot <= known:
+    rows = rows[1:]
+    split = [line.split(";") for _, line in rows]
+    if any(map(len(columns).__ne__, map(len, split))):
+        for (lineno, _), cells in zip(rows, split):
+            if len(cells) != len(columns):
+                raise _width_error("VOTES", lineno, len(cells), header_line,
+                                   columns)
+    for needed in ("voter_id", "vote"):
+        if needed not in columns:
+            raise PabulibParseError(
+                None, f"VOTES is missing column {needed!r}")
+    vote_col = columns.index("vote")
+    cells = [row[vote_col] for row in split]
+    votes = {cell: frozenset(cell.split(",")) for cell in set(cells)}
+    if not known.issuperset(chain.from_iterable(votes.values())):
+        # in row order, so that the first unknown id is the one reported
+        for (lineno, _), cell in zip(rows, cells):
+            if votes[cell] <= known:
+                continue
+            ids = cell.split(",")
+            votes[cell] = frozenset(map(str.strip, ids)) - {""}
+            if not votes[cell] <= known:
                 pid = next(pid for pid in map(str.strip, ids)
                            if pid and pid not in known)
-                unknown = PabulibParseError(
+                raise PabulibParseError(
                     lineno, f"vote references unknown project id {pid!r}")
-        ballots.append(ballot)
-    if missing:
-        raise PabulibParseError(
-            None, f"VOTES is missing column {missing[0]!r}")
-    if unknown is not None:
-        raise unknown
-    return ballots
+    return list(map(votes.__getitem__, cells))
 
 
 def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:

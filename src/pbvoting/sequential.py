@@ -292,7 +292,10 @@ def rule_x_pav(instance: PBInstance, profile: ApprovalProfile,
     if not rest or residual < min(p.cost for p in rest):
         return first
     sub = PBInstance(projects=tuple(rest), budget=residual)
-    sub_profile = ApprovalProfile(tuple(b - first for b in profile.ballots))
+    # one residual ballot per distinct ballot, shared by its voters
+    left = {b: b - first for b in dict.fromkeys(profile.ballots)}
+    sub_profile = ApprovalProfile(
+        tuple(map(left.__getitem__, profile.ballots)))
     return first | solve_pav(sub, sub_profile, tiebreak, search_budget)
 
 

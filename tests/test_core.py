@@ -101,7 +101,7 @@ def test_a_repeated_compile_returns_the_election_at_once(tiny_pair):
         assert compile_election(*pair) is election
     assert core._compile.cache_info().hits == hits  # matched by identity
     # ... and through weak references: the value memo keeps each ballot as
-    # a tuple of project numbers, so no profile outlives its last holder
+    # a project bitmask, so no profile outlives its last holder
     instances = [weakref.ref(inst) for inst, _ in pairs]
     profiles = [weakref.ref(prof) for _, prof in pairs]
     del pairs, pair
@@ -139,8 +139,8 @@ def test_an_unknown_project_raises_right_after_a_hit(tiny_pair):
 
 
 def test_an_unknown_project_raises_on_a_cold_compile(tiny_pair):
-    # renumbering meets the unknown id first; the message is the one that
-    # validating the profile gives
+    # building the ballot bitmasks meets the unknown id first; the message
+    # is the one that validating the profile gives
     inst, prof = tiny_pair
     clear_memos()
     bad = ApprovalProfile(prof.ballots[:2] + (frozenset({"zz", "p1"}),)

@@ -290,6 +290,26 @@ def test_parse_matches_the_oracle_on_awkward_votes(projects, votes, header,
     _same_as_oracle(spaced)
 
 
+def test_rows_with_equal_vote_cells_share_one_ballot():
+    _, prof, _ = parse_pb(_pb_text(TWO, ["v1;p1,p2", "v2;p2", "v3;p1,p2"]))
+    assert prof.ballots[0] == frozenset({"p1", "p2"})
+    assert prof.ballots[0] is prof.ballots[2]
+
+
+def test_a_repeated_unknown_id_is_reported_on_its_first_row():
+    # the cell with zz comes back on a later row; the earlier row is named
+    text = _pb_text(TWO, ["v1;p1", "v2;p2, zz", "v3;yy", "v4;p2, zz"])
+    with pytest.raises(PabulibParseError,
+                       match=r"^line 13: .* unknown project id 'zz'$"):
+        parse_pb(text)
+    _same_as_oracle(text)
+
+
+def test_a_cell_that_needs_stripping_matches_a_clean_cell():
+    _, prof, _ = parse_pb(_pb_text(TWO, ["v1;p1,p2", "v2; p1, p2"]))
+    assert prof.ballots == (frozenset({"p1", "p2"}),) * 2
+
+
 VOTE_PIECES = ["p1", "p2", "p 3", "", " p1", "p2 ", "\tp 3", "zz", "p", " "]
 
 

@@ -25,7 +25,9 @@ from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            social_welfare)
 from pbvoting.exact import (SearchBudget, TieBreakPolicy, _Search,
                             optimum_value, solve_av, solve_cc, solve_pav)
-from pbvoting.fairness import find_ejr_violation, is_cohesive, max_t_cap
+from pbvoting.datagen import gen_party_list
+from pbvoting.fairness import (_levels, find_ejr_violation, is_cohesive,
+                               max_t_cap)
 from pbvoting.sequential import (EqualSharesTrace, NoVotersError, rule_x,
                                  rule_x_eps, seq_pav)
 
@@ -63,6 +65,18 @@ def test_ejr_status_matches_oracle_at_every_cap(election, data):
             assert verdict.status == ("satisfied" if t_cap >= top
                                       else "unknown")
             assert verdict.witness is None
+
+
+@given(elections(), st.data())
+def test_ejr_levels_match_a_recount_of_funded_approvals(election, data):
+    inst, prof = election
+    bundle = data.draw(st.frozensets(st.sampled_from(inst.project_ids)))
+    e = compile_election(inst, prof)
+    for depth in range(max(map(len, prof.ballots)) + 1):
+        under = _levels(e, bundle, depth)
+        assert under == [sum(1 << i for i, ballot in enumerate(prof.ballots)
+                             if len(ballot & bundle) < k)
+                         for k in range(depth + 1)]
 
 
 @st.composite
@@ -123,6 +137,16 @@ def test_compiled_election_matches_a_recount_of_the_ballots(election):
         assert (e.twins[k] == e.twins[l]) == (
             inst.cost(ids[k]) == inst.cost(ids[l])
             and approvers[k] == approvers[l])
+
+
+def test_an_election_of_more_than_64_projects_matches_a_recount():
+    # 358 projects, so the compile key's project bitmasks are wider than a
+    # machine word
+    inst, prof = gen_party_list(0)
+    assert len(inst.projects) == 358
+    clear_memos()
+    test_compiled_election_matches_a_recount_of_the_ballots.hypothesis \
+        .inner_test((inst, prof))
 
 
 @settings(max_examples=200)
