@@ -10,11 +10,14 @@ every call.
 
 A run is described by an :class:`ExperimentSpec`; :func:`run_experiment`
 executes every instance x rule pair and returns one :class:`ResultRow` per
-pair, a failed pair included, with its reason.  The ratios divide by the
-instance's exact sw and rp optima.  An AV bundle attains the sw optimum and
-a CC bundle the rp optimum, so these are read off the AV and CC rows when
-the spec has those rules; `optimum_value` searches only for an optimum
-whose rule is absent or failed.
+pair, a failed pair included, with its reason.  A row's sw and rp are read
+off the compiled election's voter bitsets (`core.compile_election`, already
+built by the rules): the sum of the funded projects' approver popcounts, and
+the popcount of their union.  The ratios divide by the instance's exact sw
+and rp optima.  An AV bundle attains the sw optimum and a CC bundle the rp
+optimum, so these are read off the AV and CC bundles when the spec has those
+rules; `optimum_value` searches only for an optimum whose rule is absent or
+failed.
 
 Ratios are exact rationals serialized as 6-decimal strings, so a rerun
 with the same spec and seed produces byte-identical CSV output.  Wall-clock
@@ -30,17 +33,19 @@ execution order can therefore never change the bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import (ApprovalProfile, PBInstance, representation,
-                   social_welfare)
+from .core import (ApprovalProfile, PBInstance, compile_election,
+                   representation, social_welfare)
 from .datagen import PRESETS, generate
 from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
                     optimum_value, solve_av, solve_cc, solve_pav)
@@ -210,14 +215,18 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 rows.append(ResultRow(instance_id, rule, None, None, None,
                                       None, "", None, f"optima: {e}"))
             continue
+        # scores from the approver bitsets of the funded projects
+        election = compile_election(inst, prof)
+        approvers = dict(zip(election.ids, election.project_masks))
         for rule in spec.rules:
             bundle, ms, reason = outcomes[rule]
             if bundle is None:
                 rows.append(ResultRow(instance_id, rule, None, None, None,
                                       None, "", None, reason))
                 continue
-            sw = social_welfare(prof, bundle)
-            rp = representation(prof, bundle)
+            masks = list(map(approvers.__getitem__, bundle))
+            sw = sum(mask.bit_count() for mask in masks)
+            rp = functools.reduce(operator.or_, masks, 0).bit_count()
             verdict = find_ejr_violation(inst, prof, bundle, spec.t_cap)
             rows.append(ResultRow(
                 instance_id, rule, sw, rp,

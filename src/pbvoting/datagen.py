@@ -88,10 +88,10 @@ def gen_euclidean(seed: int,
     ids = [f"p{j:03d}" for j in range(cfg.n_projects)]
     dists = np.linalg.norm(
         voters[:, None, :] - projects_xy[None, :, :], axis=2)
-    ballots = []
-    for i in range(cfg.n_voters):
-        order = np.argsort(dists[i], kind="stable")
-        ballots.append(frozenset(ids[j] for j in order[: sizes[i]]))
+    # each voter's projects, nearest first
+    order = np.argsort(dists, axis=1, kind="stable").tolist()
+    ballots = [frozenset(map(ids.__getitem__, row[:size]))
+               for row, size in zip(order, sizes.tolist())]
 
     projects = [Project(pid, c) for pid, c in zip(ids, costs)]
     if cfg.drop_unapproved:

@@ -177,17 +177,17 @@ class _Search:
         election = compile_election(instance, profile)
         self.weights = election.weights
         static = [mask.bit_count() for mask in election.project_masks]
+        # v * scale[k] orders projects by v / cost exactly, in integers
+        common = math.lcm(*election.costs)
+        scale = [common // c for c in election.costs]
         # fixed order: static approval density desc, then cost asc, then id
         order = sorted(range(len(static)), key=lambda k: (
-            -Fraction(static[k], election.costs[k]), election.costs[k],
-            instance.projects[k].id))
-        self.ids = [instance.projects[k].id for k in order]
+            -static[k] * scale[k], election.costs[k], election.ids[k]))
+        self.ids = [election.ids[k] for k in order]
         self.m = len(order)
         self.budget = election.budget
         self.costs = [election.costs[k] for k in order]
-        # v * density_scale[j] orders items by v / cost exactly
-        common = math.lcm(*self.costs)
-        self.density_scale = [common // c for c in self.costs]
+        self.density_scale = [scale[k] for k in order]
         self.approvers = [election.approvers[k] for k in order]
         rank = {k: j for j, k in enumerate(order)}
         self.approved = [sorted(rank[k] for k in ballot)

@@ -75,9 +75,12 @@ def is_cohesive(instance: PBInstance, profile: ApprovalProfile,
     return share >= instance.cost_of(T)
 
 
+_DEFAULT_CAP = 10
+
+
 def default_t_cap(instance: PBInstance) -> int:
     """Search depth covering every feasible witness size, capped at 10."""
-    return min(int(instance.budget // instance.c_min), 10)
+    return min(max_t_cap(instance), _DEFAULT_CAP)
 
 
 def max_t_cap(instance: PBInstance) -> int:
@@ -99,14 +102,16 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
     funded = frozenset(bundle)
     for pid in funded:
         instance.cost(pid)
+    # max_t_cap, in the election's integer money
+    top = election.budget // min(election.costs)
     if t_cap is None:
-        t_cap = default_t_cap(instance)
+        t_cap = min(top, _DEFAULT_CAP)
     if t_cap < 0:
         raise ValueError("t_cap must be non-negative")
     witness, examined = _search(election, instance, funded, t_cap)
     if witness is not None:
         return EjrVerdict("violated", t_cap, witness, examined)
-    status = "satisfied" if t_cap >= max_t_cap(instance) else "unknown"
+    status = "satisfied" if t_cap >= top else "unknown"
     return EjrVerdict(status, t_cap, None, examined)
 
 

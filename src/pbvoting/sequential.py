@@ -16,11 +16,12 @@ group of w voters with budget b each pays w times a voter's charge.
 
 RX, RX-eps and RX-PAV begin with the same approval phase, so it runs once
 per compiled election and is memoized next to it, two elections deep: the
-funded projects in funding order and the threshold q each was paid at.  An
-`EqualSharesTrace` is rebuilt from the memo by charging min(b_g, q) to each
-approver group of each funded project, in funding order, which repeats the
-phase's charges exactly; per-voter records are expanded from the groups
-through the election's voter-to-group map.
+funded projects in funding order and the threshold q each was paid at, a
+`Fraction` in the instance's money.  An `EqualSharesTrace` is rebuilt from
+the memo in `Fraction`s by charging min(b_g, q) to each approver group of
+each funded project, in funding order, which repeats the phase's charges
+exactly; per-voter records are expanded from the groups through the
+election's voter-to-group map.
 
 The exhaustion phase of `rule_x_eps` needs no budgets.  There every voter
 pays for every project, and a funded project is paid for exactly, since
@@ -43,6 +44,23 @@ below the rate that the still-uncapped groups would need pays its whole
 budget and drops out; the first group that does not drop out fixes q, since
 every later group has a breakpoint at least as large and is not capped at q
 either.
+
+The approval phase runs that scan on integers.  Every group's per-voter
+money is b_g = B_g / D in the election's money units (`core.Election`), an
+integer B_g over one common denominator D.  At the start D = n, the number
+of voters, and every B_g is the election's integer budget, so each voter
+holds budget / n.  A project of cost c starts the scan with left = c * D
+and U, the number of its approving voters whose money is not spent; a group
+drops out while left > B_g * U, which subtracts w_g * B_g from left and w_g
+from U, and the first group that stays fixes the threshold (N, U), N the
+left at that point: q = N / (U * D), with no division in the scan.  Funding
+at (N, U) puts every group's money over D * U: each B_g is multiplied by U,
+each approver group pays N out of it (what it has, if less), and D becomes
+D * U.  The gcd of D and all the B_g is then divided out, which keeps the
+integers short.  The heap keys of the loop below are the only `Fraction`s,
+one per evaluation of a project: q = N / (U * D * unit) in the instance's
+money, which compares across rounds.  `q_value` keeps the `Fraction` scan
+for general utilities.
 
 The equal-shares loop evaluates projects lazily.  Budgets only fall, so a
 project's payment threshold only rises (or the project becomes unaffordable
@@ -68,19 +86,15 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .core import ApprovalProfile, Election, PBInstance, compile_election
 from .exact import SearchBudget, TieBreakPolicy, harmonic_gains, solve_pav
-
-
-def _exact_order(group):
-    # float() of a Fraction is correctly rounded, hence monotone: it orders
-    # distinct floats exactly, and equal floats fall back to the Fraction
-    return float(group[0]), group[0]
 
 
 def _threshold(cost: Fraction, groups) -> Optional[Fraction]:
@@ -91,7 +105,7 @@ def _threshold(cost: Fraction, groups) -> Optional[Fraction]:
     """
     util = sum(g[2] for g in groups)
     leftover = Fraction(cost)
-    for breakpoint, money, weight_util in sorted(groups, key=_exact_order):
+    for breakpoint, money, weight_util in sorted(groups, key=itemgetter(0)):
         if leftover <= breakpoint * util:
             return leftover / util
         leftover -= money
@@ -138,88 +152,102 @@ class _Phase(NamedTuple):
 
 class _Groups:
     """Ballot groups with one shared per-voter budget each, starting at an
-    equal share of the budget."""
+    equal share of the budget.
+
+    Group g's voters hold money[g] / denom each, in the election's money
+    units: integers over one common denominator (see the module docstring).
+    """
 
     def __init__(self, election: Election):
         n = len(election.group_of)
         if n == 0:
             raise NoVotersError("equal shares needs at least one voter")
         self.election = election
-        self.weights = election.weights
-        self.costs = [Fraction(c, election.unit) for c in election.costs]
-        self.budgets = ([Fraction(election.budget, election.unit * n)]
-                        * len(self.weights))
-        self.money = [b * w for b, w in zip(self.budgets, self.weights)]
+        self.money = [election.budget] * len(election.weights)
+        self.denom = n
 
-    def _q(self, k: int, members) -> Optional[Fraction]:
-        budgets, money, weights = self.budgets, self.money, self.weights
-        return _threshold(self.costs[k], [
-            (budgets[g], money[g], weights[g]) for g in members if budgets[g]])
+    def _key(self, k: int, stamp: int):
+        """Project k's heap entry (q, cost, id, k, stamp, N, U), its
+        threshold q = N / (U * denom) as a `Fraction` in the instance's
+        money, or None when its approvers cannot afford it."""
+        e, money = self.election, self.money
+        members = sorted((g for g in e.approvers[k] if money[g]),
+                         key=money.__getitem__)
+        util = sum(map(e.weights.__getitem__, members))
+        left = e.costs[k] * self.denom
+        for g in members:
+            if left <= money[g] * util:
+                q = Fraction(left, util * self.denom * e.unit)
+                return q, e.costs[k], e.ids[k], k, stamp, left, util
+            left -= e.weights[g] * money[g]
+            util -= e.weights[g]
+        return None
 
     def fund(self) -> _Phase:
         """Repeatedly fund the project with minimal finite q.
 
         Only a project's approver groups pay for it.  Ties on q go to the
         cheaper project, then to the lexicographically smaller id.  Group
-        budgets are charged in place, and the phase's outcome is returned.
+        money is charged in place, and the phase's outcome is returned.
         """
-        e = self.election
-        heap = []
-        for k, members in enumerate(e.approvers):
-            q = self._q(k, members)
-            if q is not None:
-                heap.append((q, e.costs[k], e.ids[k], k, 0))
+        approvers = self.election.approvers
+        heap = [key for k in range(len(approvers))
+                if (key := self._key(k, 0)) is not None]
         heapq.heapify(heap)
         funded: list[int] = []
         paid: list[Fraction] = []
         while heap:
-            q, c, pid, k, stamp = heapq.heappop(heap)
+            q, _, _, k, stamp, left, util = heapq.heappop(heap)
             if stamp != len(funded):
                 # evaluated before the last funding, so only a lower bound;
                 # a project that became unaffordable stays so and is dropped
-                q = self._q(k, e.approvers[k])
-                if q is not None:
-                    heapq.heappush(heap, (q, c, pid, k, len(funded)))
+                key = self._key(k, len(funded))
+                if key is not None:
+                    heapq.heappush(heap, key)
                 continue
-            self._charge(k, e.approvers[k], q, None)
+            # every group's money over the new denominator denom * util;
+            # an approver group pays left, or all it has
+            money = [b * util for b in self.money]
+            for g in approvers[k]:
+                money[g] = max(money[g] - left, 0)
+            denom = self.denom * util
+            common = math.gcd(denom, *money)
+            self.money = [b // common for b in money]
+            self.denom = denom // common
             funded.append(k)
             paid.append(q)
         return _Phase(tuple(funded), tuple(paid))
 
-    def replay(self, phase: _Phase, more: Sequence[int],
-               trace: EqualSharesTrace):
-        """Charge the approval phase again, then the exhaustion projects
-        `more`, recording both in `trace`.
 
-        Charging min(b_g, q) to each approver group of each funded project,
-        in funding order, repeats the charges of `fund` exactly.  Each
-        exhaustion project is charged to every group at its uniform
-        threshold.
-        """
-        for k, q in zip(phase.funded, phase.q):
-            self._charge(k, self.election.approvers[k], q, trace)
-        everyone = range(len(self.weights))
-        for k in more:
-            self._charge(k, everyone, self._q(k, everyone), trace)
-        trace.final_budgets = self._per_voter(self.budgets)
+def _replay(election: Election, phase: _Phase, more: Sequence[int],
+            trace: EqualSharesTrace):
+    """Charge the approval phase again, in `Fraction`s, then the exhaustion
+    projects `more`, recording both in `trace`.
 
-    def _charge(self, k: int, members, q: Fraction,
-                trace: Optional[EqualSharesTrace]):
-        paid = {}
+    Charging min(b_g, q) to each approver group of each funded project, in
+    funding order, repeats the charges of `_Groups.fund` exactly.  Each
+    exhaustion project is charged to every group at its uniform threshold.
+    """
+    weights = election.weights
+    budgets = ([Fraction(election.budget,
+                         election.unit * len(election.group_of))]
+               * len(weights))
+
+    def charge(k: int, members, q: Fraction):
+        paid = [Fraction(0)] * len(weights)
         for g in members:
-            charge = min(self.budgets[g], q)
-            if charge:
-                self.budgets[g] -= charge
-                self.money[g] = self.budgets[g] * self.weights[g]
-                paid[g] = charge
-        if trace is not None:
-            pid = self.election.ids[k]
-            trace.funded.append(pid)
-            trace.charges[pid] = self._per_voter(
-                [paid.get(g, Fraction(0)) for g in range(len(self.weights))])
+            paid[g] = min(budgets[g], q)
+            budgets[g] -= paid[g]
+        trace.funded.append(election.ids[k])
+        trace.charges[election.ids[k]] = [paid[g] for g in election.group_of]
 
-    def _per_voter(self, values: Sequence) -> list:
-        return [values[g] for g in self.election.group_of]
+    for k, q in zip(phase.funded, phase.q):
+        charge(k, election.approvers[k], q)
+    for k in more:
+        cost = Fraction(election.costs[k], election.unit)
+        charge(k, range(len(weights)), _threshold(
+            cost, [(b, b * w, w) for b, w in zip(budgets, weights) if b]))
+    trace.final_budgets = [budgets[g] for g in election.group_of]
 
 
 @functools.lru_cache(maxsize=2)
@@ -247,7 +275,7 @@ def rule_x(instance: PBInstance, profile: ApprovalProfile,
     """
     election, phase = _equal_shares(instance, profile)
     if trace is not None:
-        _Groups(election).replay(phase, (), trace)
+        _replay(election, phase, (), trace)
     return frozenset(election.ids[k] for k in phase.funded)
 
 
@@ -274,7 +302,7 @@ def rule_x_eps(instance: PBInstance, profile: ApprovalProfile, *,
         left -= costs[k]
         more.append(k)
     if trace is not None:
-        _Groups(election).replay(phase, more, trace)
+        _replay(election, phase, more, trace)
     return frozenset(election.ids[k] for k in (*phase.funded, *more))
 
 

@@ -9,7 +9,7 @@ from pbvoting.bench import (RULE_NAMES, RULES, ExperimentSpec, ResultRow,
                             RuleSummary, aggregate, format_ratio,
                             parse_config, rows_to_csv, run_experiment,
                             run_rule, spec_from_config)
-from pbvoting.core import is_feasible
+from pbvoting.core import is_feasible, representation, social_welfare
 from pbvoting.datagen import generate
 from pbvoting.exact import SearchBudget, TieBreakPolicy
 from pbvoting.fairness import find_ejr_violation
@@ -177,6 +177,22 @@ def test_every_rule_runs_through_the_table():
         assert bundle and is_feasible(inst, bundle), rule
     with pytest.raises(ValueError, match="choose from"):
         run_rule("XYZ", inst, prof, TieBreakPolicy.lex(), SearchBudget())
+
+
+@pytest.mark.parametrize("dataset", ["city", "euclidean-desk"])
+def test_row_scores_equal_the_scores_of_the_bundles(dataset):
+    # rows score a bundle from its projects' voter bitsets, not the ballots
+    spec = ExperimentSpec(dataset, RULE_NAMES, seed=3, n_instances=2,
+                          tiebreak="lex-by-id")
+    rows = run_experiment(spec)
+    for instance_id, inst, prof in bench.load_dataset(dataset, 3, 2):
+        for row in rows:
+            if row.instance == instance_id:
+                bundle = run_rule(row.rule, inst, prof,
+                                  bench._policy(spec, instance_id, row.rule),
+                                  SearchBudget())
+                assert (row.sw, row.rp) == (social_welfare(prof, bundle),
+                                            representation(prof, bundle))
 
 
 def test_an_experiment_compiles_each_election_once():

@@ -344,6 +344,18 @@ def test_equal_shares_match_the_per_voter_oracle(election):
         assert run(None) == frozenset(expected.funded)
 
 
+@given(seeded_elections)
+def test_rule_x_satisfies_ejr(election):
+    # equal shares with approval utilities satisfies EJR (Peters, Pierczynski
+    # & Skowron, NeurIPS 2021), an oracle for the approval phase that does
+    # not rest on `conftest.oracle_equal_shares`; at max_t_cap the audit
+    # covers every feasible witness, so "not violated" reads "satisfied"
+    inst, prof = election
+    verdict = find_ejr_violation(inst, prof, rule_x(inst, prof),
+                                 max_t_cap(inst))
+    assert verdict.status == "satisfied", verdict.witness
+
+
 @given(st.one_of(mixed_unit_elections(), seeded_elections), st.booleans())
 def test_seq_pav_matches_the_fraction_oracle(election, reverse):
     inst, prof = election

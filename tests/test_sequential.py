@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_equal_shares_eps, oracle_q, random_instance
-from pbvoting.core import representation, social_welfare
+from conftest import (clear_memos, oracle_equal_shares_eps, oracle_q,
+                      random_instance)
+from pbvoting import sequential
+from pbvoting.core import compile_election, representation, social_welfare
+from pbvoting.datagen import EuclideanConfig, gen_euclidean
 from pbvoting.exact import TieBreakPolicy
 from pbvoting.sequential import (EqualSharesTrace, q_value, rule_x,
                                  rule_x_eps, rule_x_pav, seq_pav)
@@ -79,6 +82,40 @@ def test_rule_x_charge_conservation_random():
             for i, charge in enumerate(trace.charges[pid]):
                 if charge:
                     assert pid in prof.ballots[i], (seed, pid, i)
+
+
+def test_a_cold_voter_scale_election_matches_q_value_in_every_round():
+    # some 700 ballot groups of 1000 voters: the integer money of the
+    # approval phase reaches denominators and gcds that desk-sized
+    # elections never do.  Voter by voter, each funded project must be paid
+    # at its q_value threshold, and must have the least (q, cost, id) key
+    # of the affordable projects left.
+    inst, prof = gen_euclidean(0, EuclideanConfig(n_voters=1000,
+                                                  n_projects=40))
+    clear_memos()
+    trace = EqualSharesTrace()
+    bundle = rule_x(inst, prof, trace)
+    phase = sequential._approval_phase(compile_election(inst, prof))
+    assert len(phase.funded) >= 5
+
+    def key(project, budgets):
+        approves = [int(project.id in ballot) for ballot in prof.ballots]
+        q = q_value(project.cost, budgets, approves)
+        return approves, None if q is None else (q, project.cost, project.id)
+
+    budgets = [inst.budget / prof.n_voters] * prof.n_voters
+    for done, (pid, q) in enumerate(zip(trace.funded, phase.q)):
+        keys = {p.id: key(p, budgets) for p in inst.projects
+                if p.id not in trace.funded[:done]}
+        approves, best = keys[pid]
+        assert best == (q, inst.cost(pid), pid)
+        assert best == min(k for _, k in keys.values() if k is not None)
+        charges = [min(b, q) * u for b, u in zip(budgets, approves)]
+        assert trace.charges[pid] == charges
+        budgets = [b - c for b, c in zip(budgets, charges)]
+    assert trace.final_budgets == budgets
+    assert all(key(p, budgets)[1] is None
+               for p in inst.projects if p.id not in bundle)
 
 
 def test_rule_x_eps_extends_rule_x(city_pair):
