@@ -39,8 +39,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .bench import run_rule
-from .core import (ApprovalProfile, PBInstance, Project, representation,
-                   social_welfare)
+from .core import (ApprovalProfile, PBInstance, Project, as_fraction,
+                   representation, social_welfare)
 from .exact import SearchBudget, TieBreakPolicy, optimum_value
 
 
@@ -81,10 +81,6 @@ class VerifyReport:
         return self.matches_expected and self.under_bound
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _build_greedy(family: Family, n: int, m: int, L) -> AdversarialCase:
     # 2 voters back one project costing the whole budget; n voters back one
     # cheap project each.  Each cheap project needs at most one approver so
@@ -92,7 +88,7 @@ def _build_greedy(family: Family, n: int, m: int, L) -> AdversarialCase:
     # hence m >= n.
     if n < 3 or m < n:
         raise ValueError("requires n >= 3 and m >= n")
-    L = _frac(L)
+    L = as_fraction(L)
     big = Project("p-big", L)
     cheap = [Project(f"q{j:03d}", L / m) for j in range(m)]
     ballots = [frozenset({"p-big"})] * 2
@@ -115,7 +111,7 @@ def _build_greedy(family: Family, n: int, m: int, L) -> AdversarialCase:
 def _build_av_rep(m: int, x: int, L) -> AdversarialCase:
     if m < 2 or x < 1:
         raise ValueError("requires m >= 2 and x >= 1")
-    L = _frac(L)
+    L = as_fraction(L)
     projects = []
     ballots = []
     for g in range(m):
@@ -140,7 +136,7 @@ def _build_av_rep(m: int, x: int, L) -> AdversarialCase:
 def _build_cc_welfare(n: int, L) -> AdversarialCase:
     if n < 2:
         raise ValueError("requires n >= 2")
-    L = _frac(L)
+    L = as_fraction(L)
     shared = [Project(f"s{j:02d}", L / n) for j in range(n)]
     singles = [Project(f"t{j:02d}", L / (n + 1)) for j in range(n + 1)]
     ballots = [frozenset(p.id for p in shared)] * n
@@ -162,7 +158,7 @@ def _build_cc_welfare(n: int, L) -> AdversarialCase:
 def _build_pav_welfare(x: int, L) -> AdversarialCase:
     if x < 2:
         raise ValueError("requires x >= 2")
-    L = _frac(L)
+    L = as_fraction(L)
     cheap = [Project(f"c{j:03d}", L / x) for j in range(x)]
     big = Project("p-big", L)
     ballots = [frozenset(p.id for p in cheap)]
@@ -209,7 +205,7 @@ def _build_pav_rep(L: int) -> AdversarialCase:
 def _build_ejr_rep(n: int, L) -> AdversarialCase:
     if n < 2:
         raise ValueError("requires n >= 2")
-    L = _frac(L)
+    L = as_fraction(L)
     eps = L / (100 * n)  # any sufficiently small positive value works
     tiny = [Project("a0", L / (2 * n)), Project("a1", L / (2 * n))]
     big = Project("b", Fraction(n - 1, n) * L + eps)
@@ -231,7 +227,7 @@ def _build_ejr_rep(n: int, L) -> AdversarialCase:
 def _build_ejr_welfare(n: int, L) -> AdversarialCase:
     if n < 4:
         raise ValueError("requires n >= 4")
-    L = _frac(L)
+    L = as_fraction(L)
     s = math.isqrt(n)
     shared = [Project(f"s{j:03d}", L / n) for j in range(n)]
     singles = [Project(f"t{j:03d}", L / n) for j in range(n - s)]

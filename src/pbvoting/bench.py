@@ -80,6 +80,8 @@ class ExperimentSpec:
         TieBreakPolicy(self.tiebreak, self.seed)  # rejects unknown variants
         if self.n_instances < 1:
             raise ValueError("n_instances must be positive")
+        if self.t_cap is not None and self.t_cap < 0:
+            raise ValueError("t_cap must be non-negative")
 
 
 @dataclass(frozen=True)

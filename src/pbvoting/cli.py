@@ -9,7 +9,8 @@ Subcommands::
     pbbench adversarial verify the worst-case families
 
 Exit codes: 0 success, 1 partial failure (failed rows, violated/failed
-checks, a search over its node budget), 2 usage or spec error.
+checks, a search over its node budget, equal shares on an election with no
+voters), 2 usage or spec error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
                     optimum_value)
 from .fairness import find_ejr_violation
 from .pabulib import write_pb
+from .sequential import NoVotersError
 
 
 def _dataset_args(p: argparse.ArgumentParser):
@@ -233,12 +235,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except (SearchBudgetExceeded, NoVotersError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (ValueError, FileNotFoundError, NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SearchBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

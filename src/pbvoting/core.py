@@ -152,7 +152,6 @@ class Election:
     weights: tuple[int, ...]
     group_of: tuple[int, ...]  # voter -> group
     approvers: tuple[tuple[int, ...], ...]  # project -> groups, ascending
-    group_masks: tuple[int, ...]
     project_masks: tuple[int, ...]
     unit: int
     costs: tuple[int, ...]
@@ -218,9 +217,6 @@ def _compile(instance: PBInstance, voters: tuple) -> Election:
     ballots = tuple(map(decoded.__getitem__, order))
     group = {mask: g for g, mask in enumerate(order)}
     group_of = tuple(map(group.__getitem__, voters))
-    group_masks = [0] * len(order)
-    for i, g in enumerate(group_of):
-        group_masks[g] |= 1 << i
     approver_lists: list[list[int]] = [[] for _ in projects]
     for g, ballot in enumerate(ballots):
         for k in ballot:
@@ -237,8 +233,7 @@ def _compile(instance: PBInstance, voters: tuple) -> Election:
     return Election(
         ids=instance.project_ids, ballots=ballots,
         weights=tuple(map(Counter(voters).__getitem__, order)),
-        group_of=group_of, approvers=approvers,
-        group_masks=tuple(group_masks), project_masks=project_masks,
+        group_of=group_of, approvers=approvers, project_masks=project_masks,
         unit=unit, costs=costs, budget=int(instance.budget * unit),
         twins=tuple(first.setdefault(key, k)
                     for k, key in enumerate(zip(costs, approvers))))

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import ApprovalProfile, PBInstance, compile_election
+from .core import ApprovalProfile, Election, PBInstance, compile_election
 
 _VARIANTS = ("worst-sw", "worst-rp", "random", "lex-by-id", "cheapest-first")
 
@@ -166,15 +166,14 @@ class _Search:
     projects are the later ones that cost at most the residual.
     """
 
-    def __init__(self, instance: PBInstance, profile: ApprovalProfile,
-                 objective: str, search_budget: SearchBudget):
+    def __init__(self, election: Election, objective: str,
+                 search_budget: SearchBudget):
         assert objective in ("sw", "rp", "pav")
         self.objective = objective
         self.phase = "optimum"
         self.max_nodes = search_budget.max_nodes
         self.stats = SearchStats()
 
-        election = compile_election(instance, profile)
         self.weights = election.weights
         static = [mask.bit_count() for mask in election.project_masks]
         # v * scale[k] orders projects by v / cost exactly, in integers
@@ -228,7 +227,7 @@ class _Search:
         self.rp = 0
         if objective == "rp":
             self.masks = [election.project_masks[k] for k in order]
-            self.voters = sum(election.group_masks)  # groups are disjoint
+            self.voters = (1 << len(election.group_of)) - 1
             self.covered = 0
             self.saved: list[int] = []  # covered before each funded project
         else:
@@ -476,21 +475,24 @@ def solve_av(instance: PBInstance, profile: ApprovalProfile,
              tiebreak: TieBreakPolicy = TieBreakPolicy.lex(),
              search_budget: SearchBudget = SearchBudget()) -> frozenset:
     """A feasible bundle with globally maximal social welfare."""
-    return _Search(instance, profile, "sw", search_budget).select(tiebreak)
+    return _Search(compile_election(instance, profile), "sw",
+                   search_budget).select(tiebreak)
 
 
 def solve_cc(instance: PBInstance, profile: ApprovalProfile,
              tiebreak: TieBreakPolicy = TieBreakPolicy.lex(),
              search_budget: SearchBudget = SearchBudget()) -> frozenset:
     """A feasible bundle with globally maximal representation."""
-    return _Search(instance, profile, "rp", search_budget).select(tiebreak)
+    return _Search(compile_election(instance, profile), "rp",
+                   search_budget).select(tiebreak)
 
 
 def solve_pav(instance: PBInstance, profile: ApprovalProfile,
               tiebreak: TieBreakPolicy = TieBreakPolicy.lex(),
               search_budget: SearchBudget = SearchBudget()) -> frozenset:
     """A feasible bundle with globally maximal harmonic (PAV) score."""
-    return _Search(instance, profile, "pav", search_budget).select(tiebreak)
+    return _Search(compile_election(instance, profile), "pav",
+                   search_budget).select(tiebreak)
 
 
 def optimum_value(objective: str, instance: PBInstance, profile: ApprovalProfile,
@@ -499,6 +501,7 @@ def optimum_value(objective: str, instance: PBInstance, profile: ApprovalProfile
 
     sw and rp are ints; pav is an exact Fraction.
     """
-    search = _Search(instance, profile, objective, search_budget)
+    search = _Search(compile_election(instance, profile), objective,
+                     search_budget)
     value = search.optimum()
     return Fraction(value, search.scale) if objective == "pav" else value

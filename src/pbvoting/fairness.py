@@ -108,7 +108,7 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
         t_cap = min(top, _DEFAULT_CAP)
     if t_cap < 0:
         raise ValueError("t_cap must be non-negative")
-    witness, examined = _search(election, instance, funded, t_cap)
+    witness, examined = _search(election, funded, t_cap)
     if witness is not None:
         return EjrVerdict("violated", t_cap, witness, examined)
     status = "satisfied" if t_cap >= top else "unknown"
@@ -132,7 +132,7 @@ def _levels(election: Election, funded: frozenset, depth: int) -> list[int]:
     return [everyone ^ voters for voters in reached]
 
 
-def _search(election: Election, instance: PBInstance, funded: frozenset,
+def _search(election: Election, funded: frozenset,
             t_cap: int) -> tuple[Optional[CohesiveWitness], int]:
     """Depth-first search over T in project order, with voter bitsets.
 
@@ -145,11 +145,11 @@ def _search(election: Election, instance: PBInstance, funded: frozenset,
     under = _levels(election, funded, depth)
     budget = election.budget
     items = []
-    for p, cost, mask in zip(instance.projects, election.costs,
-                             election.project_masks):
+    for pid, cost, mask in zip(election.ids, election.costs,
+                               election.project_masks):
         bits = mask & under[depth]
         if budget * bits.bit_count() >= n * cost:
-            items.append((p.id, cost, bits))
+            items.append((pid, cost, bits))
 
     chosen: list[str] = []
     examined = 0

@@ -15,7 +15,7 @@ charged identically in every round, so their budgets stay identical, and a
 group of w voters with budget b each pays w times a voter's charge.
 
 RX, RX-eps and RX-PAV begin with the same approval phase, so it runs once
-per compiled election and is memoized next to it, two elections deep: the
+per compiled election and is memoized next to it, one election deep: the
 funded projects in funding order and the threshold q each was paid at, a
 `Fraction` in the instance's money.  An `EqualSharesTrace` is rebuilt from
 the memo in `Fraction`s by charging min(b_g, q) to each approver group of
@@ -150,82 +150,13 @@ class _Phase(NamedTuple):
     q: tuple[Fraction, ...]  # the threshold each of them was paid at
 
 
-class _Groups:
-    """Ballot groups with one shared per-voter budget each, starting at an
-    equal share of the budget.
-
-    Group g's voters hold money[g] / denom each, in the election's money
-    units: integers over one common denominator (see the module docstring).
-    """
-
-    def __init__(self, election: Election):
-        n = len(election.group_of)
-        if n == 0:
-            raise NoVotersError("equal shares needs at least one voter")
-        self.election = election
-        self.money = [election.budget] * len(election.weights)
-        self.denom = n
-
-    def _key(self, k: int, stamp: int):
-        """Project k's heap entry (q, cost, id, k, stamp, N, U), its
-        threshold q = N / (U * denom) as a `Fraction` in the instance's
-        money, or None when its approvers cannot afford it."""
-        e, money = self.election, self.money
-        members = sorted((g for g in e.approvers[k] if money[g]),
-                         key=money.__getitem__)
-        util = sum(map(e.weights.__getitem__, members))
-        left = e.costs[k] * self.denom
-        for g in members:
-            if left <= money[g] * util:
-                q = Fraction(left, util * self.denom * e.unit)
-                return q, e.costs[k], e.ids[k], k, stamp, left, util
-            left -= e.weights[g] * money[g]
-            util -= e.weights[g]
-        return None
-
-    def fund(self) -> _Phase:
-        """Repeatedly fund the project with minimal finite q.
-
-        Only a project's approver groups pay for it.  Ties on q go to the
-        cheaper project, then to the lexicographically smaller id.  Group
-        money is charged in place, and the phase's outcome is returned.
-        """
-        approvers = self.election.approvers
-        heap = [key for k in range(len(approvers))
-                if (key := self._key(k, 0)) is not None]
-        heapq.heapify(heap)
-        funded: list[int] = []
-        paid: list[Fraction] = []
-        while heap:
-            q, _, _, k, stamp, left, util = heapq.heappop(heap)
-            if stamp != len(funded):
-                # evaluated before the last funding, so only a lower bound;
-                # a project that became unaffordable stays so and is dropped
-                key = self._key(k, len(funded))
-                if key is not None:
-                    heapq.heappush(heap, key)
-                continue
-            # every group's money over the new denominator denom * util;
-            # an approver group pays left, or all it has
-            money = [b * util for b in self.money]
-            for g in approvers[k]:
-                money[g] = max(money[g] - left, 0)
-            denom = self.denom * util
-            common = math.gcd(denom, *money)
-            self.money = [b // common for b in money]
-            self.denom = denom // common
-            funded.append(k)
-            paid.append(q)
-        return _Phase(tuple(funded), tuple(paid))
-
-
 def _replay(election: Election, phase: _Phase, more: Sequence[int],
             trace: EqualSharesTrace):
     """Charge the approval phase again, in `Fraction`s, then the exhaustion
     projects `more`, recording both in `trace`.
 
     Charging min(b_g, q) to each approver group of each funded project, in
-    funding order, repeats the charges of `_Groups.fund` exactly.  Each
+    funding order, repeats the charges of `_approval_phase` exactly.  Each
     exhaustion project is charged to every group at its uniform threshold.
     """
     weights = election.weights
@@ -250,13 +181,67 @@ def _replay(election: Election, phase: _Phase, more: Sequence[int],
     trace.final_budgets = [budgets[g] for g in election.group_of]
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _approval_phase(election: Election) -> _Phase:
-    """The approval phase of `election`, run once for RX, RX-eps and RX-PAV.
+    """The approval phase of equal shares on `election`, run once for RX,
+    RX-eps and RX-PAV: repeatedly fund the project with minimal finite q.
 
-    Two elections are kept, as in `core._compile`.
+    Only a project's approver groups pay for it.  Ties on q go to the
+    cheaper project, then to the lexicographically smaller id.  Group g's
+    voters hold money[g] / denom each, in the election's money units:
+    integers over one common denominator (see the module docstring).  One
+    election is kept: every caller runs one election's RX rules before it
+    moves to the next.
     """
-    return _Groups(election).fund()
+    n = len(election.group_of)
+    if n == 0:
+        raise NoVotersError("equal shares needs at least one voter")
+    approvers, weights = election.approvers, election.weights
+    money, denom = [election.budget] * len(weights), n
+
+    def key(k: int, stamp: int):
+        """Project k's heap entry (q, cost, id, k, stamp, N, U), its
+        threshold q = N / (U * denom) as a `Fraction` in the instance's
+        money, or None when its approvers cannot afford it."""
+        members = sorted((g for g in approvers[k] if money[g]),
+                         key=money.__getitem__)
+        util = sum(map(weights.__getitem__, members))
+        cost = election.costs[k]
+        left = cost * denom
+        for g in members:
+            if left <= money[g] * util:
+                q = Fraction(left, util * denom * election.unit)
+                return q, cost, election.ids[k], k, stamp, left, util
+            left -= weights[g] * money[g]
+            util -= weights[g]
+        return None
+
+    heap = [entry for k in range(len(approvers))
+            if (entry := key(k, 0)) is not None]
+    heapq.heapify(heap)
+    funded: list[int] = []
+    paid: list[Fraction] = []
+    while heap:
+        q, _, _, k, stamp, left, util = heapq.heappop(heap)
+        if stamp != len(funded):
+            # evaluated before the last funding, so only a lower bound; a
+            # project that became unaffordable stays so and is dropped
+            entry = key(k, len(funded))
+            if entry is not None:
+                heapq.heappush(heap, entry)
+            continue
+        # every group's money over the new denominator denom * util; an
+        # approver group pays left, or all it has
+        money = [b * util for b in money]
+        for g in approvers[k]:
+            money[g] = max(money[g] - left, 0)
+        denom *= util
+        common = math.gcd(denom, *money)
+        money = [b // common for b in money]
+        denom //= common
+        funded.append(k)
+        paid.append(q)
+    return _Phase(tuple(funded), tuple(paid))
 
 
 def _equal_shares(instance: PBInstance, profile: ApprovalProfile

@@ -1,3 +1,4 @@
+from pbvoting import bench
 from pbvoting.cli import main
 from pbvoting.core import ApprovalProfile
 from pbvoting.datagen import EuclideanConfig, gen_euclidean
@@ -75,3 +76,25 @@ def test_bench_records_a_zero_voter_election_as_failed_rows(tmp_path, capsys):
                                 + ["equal shares needs at least one voter"])
     assert [line.split(",")[:2] for line in lines[3:]] == [
         ["tiny", "AV"], ["tiny", "RX"]]
+
+
+def test_solve_fails_on_a_zero_voter_election(tmp_path, capsys):
+    # a partial failure, as in `pbbench bench`, not a usage error
+    inst, _ = tiny()
+    path = tmp_path / "empty.pb"
+    path.write_text(write_pb(inst, ApprovalProfile(())), encoding="utf-8")
+    assert main(["solve", "--dataset", f"pabulib:{path}",
+                 "--rule", "RX"]) == 1
+    assert capsys.readouterr().err == (
+        "error: equal shares needs at least one voter\n")
+
+
+def test_bench_rejects_a_negative_tcap_before_any_rule_runs(monkeypatch,
+                                                             capsys):
+    calls = []
+    monkeypatch.setattr(bench, "solve_cc",
+                        lambda *a: calls.append(a) or frozenset())
+    assert main(["bench", "--dataset", "city", "--rules", "CC",
+                 "--tcap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: t_cap must be non-negative\n"
+    assert calls == []

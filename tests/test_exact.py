@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_search, random_instance
-from pbvoting.core import (ApprovalProfile, PBInstance, Project, pav_score,
-                           representation, social_welfare)
+from pbvoting.core import (ApprovalProfile, PBInstance, Project,
+                           compile_election, pav_score, representation,
+                           social_welfare)
 from pbvoting.datagen import EuclideanConfig, gen_euclidean, generate
 from pbvoting.exact import (SearchBudget, SearchBudgetExceeded,
                             TieBreakPolicy, _Search, optimum_value, solve_av,
@@ -227,14 +228,16 @@ def test_search_nodes_per_phase_are_pinned(name, objective):
     assert all(now <= old for now, old in zip(one_pass, before))
     inst, prof = (city() if name == "city"
                   else generate("euclidean-desk", int(name.rsplit("-", 1)[1])))
-    search = _Search(inst, prof, objective, SearchBudget())
+    search = _Search(compile_election(inst, prof), objective,
+                     SearchBudget())
     search.optimum()
     assert search.stats.nodes == optimum
     stats = [search.stats]
     for policy, expected in zip((TieBreakPolicy.lex(),
                                  TieBreakPolicy.worst_sw(),
                                  TieBreakPolicy.worst_rp()), one_pass):
-        search = _Search(inst, prof, objective, SearchBudget())
+        search = _Search(compile_election(inst, prof), objective,
+                         SearchBudget())
         search.select(policy)
         assert search.stats.nodes == expected, policy.variant
         stats.append(search.stats)
