@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .bench import run_rule
@@ -252,24 +253,21 @@ def _build_ejr_welfare(n: int, L) -> AdversarialCase:
     )
 
 
+_BUILDERS = {
+    Family.GREEDY_WELFARE: partial(_build_greedy, Family.GREEDY_WELFARE),
+    Family.GREEDY_REP: partial(_build_greedy, Family.GREEDY_REP),
+    Family.AV_REP: _build_av_rep,
+    Family.CC_WELFARE: _build_cc_welfare,
+    Family.PAV_WELFARE: _build_pav_welfare,
+    Family.PAV_REP: _build_pav_rep,
+    Family.EJR_REP: _build_ejr_rep,
+    Family.EJR_WELFARE: _build_ejr_welfare,
+}
+
+
 def build(family: Family, **params) -> AdversarialCase:
     """Construct a worst-case instance for the given family."""
-    family = Family(family)
-    if family in (Family.GREEDY_WELFARE, Family.GREEDY_REP):
-        return _build_greedy(family, **params)
-    if family is Family.AV_REP:
-        return _build_av_rep(**params)
-    if family is Family.CC_WELFARE:
-        return _build_cc_welfare(**params)
-    if family is Family.PAV_WELFARE:
-        return _build_pav_welfare(**params)
-    if family is Family.PAV_REP:
-        return _build_pav_rep(**params)
-    if family is Family.EJR_REP:
-        return _build_ejr_rep(**params)
-    if family is Family.EJR_WELFARE:
-        return _build_ejr_welfare(**params)
-    raise ValueError(f"unknown family {family}")
+    return _BUILDERS[Family(family)](**params)
 
 
 def verify(case: AdversarialCase,

@@ -78,6 +78,7 @@ class ExperimentSpec:
                 raise ValueError(
                     f"unknown rule {rule!r}; choose from {RULE_NAMES}")
         TieBreakPolicy(self.tiebreak, self.seed)  # rejects unknown variants
+        SearchBudget(self.max_nodes)  # rejects a non-positive node budget
         if self.n_instances < 1:
             raise ValueError("n_instances must be positive")
         if self.t_cap is not None and self.t_cap < 0:
@@ -348,13 +349,27 @@ def spec_from_config(values: dict[str, str]) -> ExperimentSpec:
         raise ValueError(f"unknown config key(s) {sorted(unknown)}")
     if "dataset" not in values or "rules" not in values:
         raise ValueError("config needs at least dataset= and rules=")
+
+    def integer(key: str, default: Optional[int]) -> Optional[int]:
+        if key not in values:
+            return default
+        try:
+            return int(values[key])
+        except ValueError:
+            raise ValueError(f"config key {key} must be an integer, "
+                             f"got {values[key]!r}") from None
+
+    record_time = values.get("record_time", "false")
+    if record_time.lower() not in ("true", "false"):
+        raise ValueError("config key record_time must be true or false, "
+                         f"got {record_time!r}")
     return ExperimentSpec(
         dataset=values["dataset"],
         rules=tuple(r.strip() for r in values["rules"].split(",") if r.strip()),
-        seed=int(values.get("seed", "0")),
-        n_instances=int(values.get("instances", "1")),
+        seed=integer("seed", 0),
+        n_instances=integer("instances", 1),
         tiebreak=values.get("tiebreak", "random"),
-        t_cap=int(values["tcap"]) if "tcap" in values else None,
-        max_nodes=int(values.get("max_nodes", "2000000")),
-        record_time=values.get("record_time", "false").lower() == "true",
+        t_cap=integer("tcap", None),
+        max_nodes=integer("max_nodes", 2_000_000),
+        record_time=record_time.lower() == "true",
     )

@@ -99,10 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    instance_id, inst, prof = load_dataset(_resolve_dataset(args),
-                                           args.seed)[0]
+    # reject bad options before the dataset is loaded and any rule runs
+    if args.tcap is not None and args.tcap < 0:
+        raise ValueError("t_cap must be non-negative")
     policy = TieBreakPolicy(args.tiebreak, args.tie_seed)
     budget = SearchBudget(args.max_nodes)
+    instance_id, inst, prof = load_dataset(_resolve_dataset(args),
+                                           args.seed)[0]
     bundle = run_rule(args.rule, inst, prof, policy, budget)
     sw = social_welfare(prof, bundle)
     rp = representation(prof, bundle)

@@ -57,15 +57,18 @@ floor(bound) <= incumbent: a branch that may still beat the incumbent can
 hold the optimum, whatever its secondary score.
 
 A bound is one pass over the live projects, with no recount of their
-approvers.  rp keeps the covered voters as a bitset over voters, and each
-project's approvers as the compiled election's voter mask: a live project's
-gain is popcount(mask & ~covered) and the union bound is
-popcount(OR of the live masks & ~covered).  sw gains are static.  pav keeps
-the marginal gain of each project after the last one funded up to date as
-projects are funded and taken back, and it keeps each group's a and the cap
-itself: funding a live project leaves c + a and so the cap unchanged, and
-passing a project, or pricing one out when the residual falls, lowers the
-cap by w * gain[c + a - 1] for each group that approves it.
+approvers.  Every search keeps sw and rp, the worst-sw and worst-rp keys,
+the same way: funding a project adds its approval count to sw and ORs its
+approvers, the compiled election's voter mask, into a bitset of covered
+voters, and rp is the popcount of that bitset.  The sw knapsack reads the
+static approval counts.  An rp gain is popcount(mask & ~covered) and the
+union bound is popcount(OR of the live masks & ~covered).  Only pav keeps
+per-group state: the marginal gain of each project after the last one
+funded, kept up to date as projects are funded and taken back, and each
+group's a and the cap itself: funding a live project leaves c + a and so
+the cap unchanged, and passing a project, or pricing one out when the
+residual falls, lowers the cap by w * gain[c + a - 1] for each group that
+approves it.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .core import ApprovalProfile, Election, PBInstance, compile_election
@@ -174,7 +178,6 @@ class _Search:
         self.max_nodes = search_budget.max_nodes
         self.stats = SearchStats()
 
-        self.weights = election.weights
         static = [mask.bit_count() for mask in election.project_masks]
         # v * scale[k] orders projects by v / cost exactly, in integers
         common = math.lcm(*election.costs)
@@ -187,28 +190,8 @@ class _Search:
         self.budget = election.budget
         self.costs = [election.costs[k] for k in order]
         self.density_scale = [scale[k] for k in order]
-        self.approvers = [election.approvers[k] for k in order]
-        rank = {k: j for j, k in enumerate(order)}
-        self.approved = [sorted(rank[k] for k in ballot)
-                         for ballot in election.ballots]
-
-        # gain[c]: what one voter with c funded approvals adds to the
-        # objective when one more of them is funded, and harm[k] what k
-        # funded approvals give a voter.  Harmonic scores are multiplied by
-        # scale = L = lcm(1..K), which makes gain[c] = L/(c+1) integral and
-        # harm[k] = L * H(k).
-        longest = max(map(len, election.ballots), default=0)
-        self.scale = 1
-        if objective == "sw":
-            self.gain = [1] * (longest + 1)
-        elif objective == "rp":
-            self.gain = [1] + [0] * longest
-        else:
-            self.gain = harmonic_gains(longest)
-            self.scale = self.gain[0]
-        self.harm = [0]
-        for g in self.gain:
-            self.harm.append(self.harm[-1] + g)
+        self.static = [static[k] for k in order]
+        self.masks = [election.project_masks[k] for k in order]
 
         # symmetry breaking: twins (see `core.Election`) are
         # interchangeable, so within each class only canonical prefixes
@@ -221,22 +204,31 @@ class _Search:
 
         # mutable search state
         self.chosen = [False] * self.m
-        self.static = [static[k] for k in order]
         self.score = 0
         self.sw = 0
         self.rp = 0
-        if objective == "rp":
-            self.masks = [election.project_masks[k] for k in order]
-            self.voters = (1 << len(election.group_of)) - 1
-            self.covered = 0
-            self.saved: list[int] = []  # covered before each funded project
-        else:
+        self.covered = 0
+        self.saved: list[int] = []  # covered before each funded project
+        if objective == "pav":
+            self.weights = election.weights
+            self.approvers = [election.approvers[k] for k in order]
+            rank = {k: j for j, k in enumerate(order)}
+            self.approved = [sorted(rank[k] for k in ballot)
+                             for ballot in election.ballots]
+            # gain[c]: what one voter with c funded approvals adds to the
+            # objective when one more of them is funded, and harm[k] what k
+            # funded approvals give a voter.  Harmonic scores are multiplied
+            # by scale = L = lcm(1..K), which makes gain[c] = L/(c+1)
+            # integral and harm[k] = L * H(k).
+            self.gain = harmonic_gains(max(map(len, election.ballots),
+                                           default=0))
+            self.scale = self.gain[0]
+            self.harm = list(accumulate(self.gain, initial=0))
             # counts[g]: funded approvals of group g; value[j]: what funding
             # project j alone would add to the objective now, kept for the
             # projects after the last one funded
             self.counts = [0] * len(self.weights)
             self.value = [v * self.gain[0] for v in self.static]
-        if objective == "pav":
             # avail[g]: live projects that group g approves; ceiling: the
             # per-group cap, kept as projects are funded and stop being live
             self.avail = [sum(self.costs[j] <= self.budget for j in approved)
@@ -263,42 +255,37 @@ class _Search:
         adding = sign > 0
         self.chosen[j] = adding
         self.sw += sign * self.static[j]
+        if adding:
+            self.saved.append(self.covered)
+            self.covered |= self.masks[j]
+        else:
+            self.covered = self.saved.pop()
+        self.rp = self.covered.bit_count()
         rest = residual - self.costs[j]
-        if self.objective == "rp":
-            if adding:
-                self.saved.append(self.covered)
-                self.covered |= self.masks[j]
-            else:
-                self.covered = self.saved.pop()
-            self.score = self.rp = self.covered.bit_count()
+        if self.objective != "pav":
+            self.score = self.sw if self.objective == "sw" else self.rp
             return rest
         counts, weights, gain, value = (self.counts, self.weights, self.gain,
                                         self.value)
-        pav = self.objective == "pav"
-        covered = score = 0
+        score = 0
         for g in self.approvers[j]:
             c = counts[g] - (not adding)  # the count without project j
             counts[g] = c + adding
             w = weights[g]
-            if c == 0:
-                covered += w
             score += w * gain[c]
-            if pav:
-                # funding moves j from live to funded: c + a stays, and so
-                # does the ceiling
-                self.avail[g] -= sign
-                # only projects after j are read before j is taken back
-                step = (gain[c + 1] - gain[c]) * sign * w
-                approved = self.approved[g]
-                for k in approved[bisect_right(approved, j):]:
-                    value[k] += step
-        self.rp += sign * covered
+            # funding moves j from live to funded: c + a stays, and so does
+            # the ceiling
+            self.avail[g] -= sign
+            # only projects after j are read before j is taken back
+            step = (gain[c + 1] - gain[c]) * sign * w
+            approved = self.approved[g]
+            for k in approved[bisect_right(approved, j):]:
+                value[k] += step
         self.score += sign * score
-        if pav:
-            costs = self.costs
-            for k in range(j + 1, self.m):
-                if rest < costs[k] <= residual:
-                    self._drop(k, sign)
+        costs = self.costs
+        for k in range(j + 1, self.m):
+            if rest < costs[k] <= residual:
+                self._drop(k, sign)
         return rest
 
     def _drop(self, j: int, sign: int):
@@ -327,7 +314,7 @@ class _Search:
         costs = self.costs
         if self.objective == "sw":
             # values are static, and the project order is by static density
-            value = self.value
+            value = self.static
             bound, r = self.score, residual
             for j in range(idx, self.m):
                 c = costs[j]
@@ -342,7 +329,7 @@ class _Search:
         scale = self.density_scale
         if self.objective == "rp":
             # the union bound (see the module docstring)
-            masks, free = self.masks, self.voters ^ self.covered
+            masks, free = self.masks, ~self.covered
             items, union = [], 0
             for j in range(idx, self.m):
                 if costs[j] <= residual:

@@ -165,6 +165,26 @@ def test_parse_config_and_spec():
         spec_from_config({"dataset": "city", "rules": "AV", "zz": "1"})
 
 
+@pytest.mark.parametrize("key, value, error", [
+    ("record_time", "yes",
+     "config key record_time must be true or false, got 'yes'"),
+    ("seed", "abc", "config key seed must be an integer, got 'abc'"),
+    ("instances", "2.5", "config key instances must be an integer"),
+    ("tcap", "", "config key tcap must be an integer"),
+    ("max_nodes", "1e6", "config key max_nodes must be an integer"),
+])
+def test_a_bad_config_value_names_its_key(key, value, error):
+    with pytest.raises(ValueError, match=error):
+        spec_from_config({"dataset": "city", "rules": "AV", key: value})
+
+
+def test_record_time_reads_true_or_false_in_any_case():
+    for value, expected in (("TRUE", True), ("False", False)):
+        spec = spec_from_config({"dataset": "city", "rules": "AV",
+                                 "record_time": value})
+        assert spec.record_time is expected
+
+
 def test_scatter_svg_golden():
     rows = run_experiment(_city_spec())
     svg = scatter_svg({"city": aggregate(rows)})

@@ -1,4 +1,6 @@
-from pbvoting import bench
+import pytest
+
+from pbvoting import bench, cli
 from pbvoting.cli import main
 from pbvoting.core import ApprovalProfile
 from pbvoting.datagen import EuclideanConfig, gen_euclidean
@@ -97,4 +99,31 @@ def test_bench_rejects_a_negative_tcap_before_any_rule_runs(monkeypatch,
     assert main(["bench", "--dataset", "city", "--rules", "CC",
                  "--tcap", "-1"]) == 2
     assert capsys.readouterr().err == "error: t_cap must be non-negative\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--tcap", "-1", "t_cap must be non-negative"),
+    ("--max-nodes", "0", "max_nodes must be positive"),
+    ("--tiebreak", "worst", "unknown tie-break variant 'worst'"),
+])
+def test_solve_rejects_a_bad_option_before_any_rule_runs(monkeypatch, capsys,
+                                                         flag, value, error):
+    calls = []
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda *a: calls.append(a) or [])
+    assert main(["solve", "--dataset", "city", "--rule", "CC",
+                 flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert calls == []
+
+
+def test_bench_rejects_a_zero_node_budget_before_loading_a_dataset(
+        monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench, "load_dataset",
+                        lambda *a: calls.append(a) or [])
+    assert main(["bench", "--dataset", "city", "--rules", "AV",
+                 "--max-nodes", "0"]) == 2
+    assert capsys.readouterr().err == "error: max_nodes must be positive\n"
     assert calls == []

@@ -25,7 +25,8 @@ from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            compile_election, pav_score, representation,
                            social_welfare)
 from pbvoting.exact import (SearchBudget, TieBreakPolicy, _Search,
-                            optimum_value, solve_av, solve_cc, solve_pav)
+                            harmonic_gains, optimum_value, solve_av, solve_cc,
+                            solve_pav)
 from pbvoting.datagen import gen_party_list
 from pbvoting.fairness import (_levels, find_ejr_violation, is_cohesive,
                                max_t_cap)
@@ -241,16 +242,31 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
             assert bound <= now + len(reachable)
 
 
-def _recounted_bound(search, idx, residual):
-    """(floored knapsack, per-group cap) of a node, counted from scratch."""
+def _funded_counts(search, election):
+    """Each ballot group's funded approvals, counted from `search.chosen`."""
+    funded = {search.ids[j] for j in range(search.m) if search.chosen[j]}
+    return [sum(election.ids[k] in funded for k in ballot)
+            for ballot in election.ballots]
+
+
+def _recounted_bound(search, election, idx, residual):
+    """(floored knapsack, per-group cap) of a node, counted from scratch
+    with gain tables of its own."""
+    longest = max(map(len, election.ballots), default=0)
+    gain = {"sw": [1] * (longest + 1), "rp": [1] + [0] * longest,
+            "pav": harmonic_gains(longest)}[search.objective]
+    harm = list(itertools.accumulate(gain, initial=0))
+    counts = _funded_counts(search, election)
     live = [j for j in range(idx, search.m) if search.costs[j] <= residual]
-    counts = [sum(search.chosen[j] for j in approved)
-              for approved in search.approved]
-    avail = [len(set(approved) & set(live)) for approved in search.approved]
-    weights, gain, harm = search.weights, search.gain, search.harm
+    live_ids = {search.ids[j] for j in live}
+    avail = [sum(election.ids[k] in live_ids for k in ballot)
+             for ballot in election.ballots]
+    weights = election.weights
     score = sum(w * harm[c] for w, c in zip(weights, counts))
     assert search.score == score
-    gains = [(sum(weights[g] * gain[counts[g]] for g in search.approvers[j]),
+    number = {pid: k for k, pid in enumerate(election.ids)}
+    gains = [(sum(weights[g] * gain[counts[g]]
+                  for g in election.approvers[number[search.ids[j]]]),
               search.costs[j]) for j in live]
     knapsack = math.floor(score + _knapsack_relaxation(gains, residual))
     cap = score + sum(w * (harm[c + a] - harm[c])
@@ -259,11 +275,25 @@ def _recounted_bound(search, idx, residual):
 
 
 class _CheckedSearch(_Search):
-    """A search that recounts its bound from scratch at every node."""
+    """A search that recounts sw and rp at every node, and its bound at
+    every node it bounds, from scratch."""
+
+    def __init__(self, election, objective, search_budget):
+        super().__init__(election, objective, search_budget)
+        self.election = election
+
+    def _tick(self):
+        super()._tick()
+        # sw and rp are the worst-sw and worst-rp keys of every objective
+        counts = _funded_counts(self, self.election)
+        weights = self.election.weights
+        assert self.sw == sum(w * c for w, c in zip(weights, counts))
+        assert self.rp == sum(w for w, c in zip(weights, counts) if c)
 
     def _bound(self, idx, residual):
         knapsack, cap = super()._bound(idx, residual)
-        expected_knapsack, expected_cap = _recounted_bound(self, idx, residual)
+        expected_knapsack, expected_cap = _recounted_bound(
+            self, self.election, idx, residual)
         assert knapsack == expected_knapsack
         # sw has no cap of its own, and its per-group sum never undercuts
         # the knapsack bound
@@ -285,9 +315,9 @@ def _assert_kept_bounds_are_exact(inst, prof):
 @settings(max_examples=60)
 @given(mixed_unit_elections())
 def test_kept_bound_equals_a_recount_at_every_node(election):
-    # the rp bitsets and the pav ceiling are kept across funding, passing,
-    # pricing out and undoing; every node of every search must see the
-    # bound that a recount from the decided projects gives
+    # the covered-voter bitset and the pav ceiling are kept across funding,
+    # passing, pricing out and undoing; every node of every search must see
+    # the sw, rp and bound that a recount from the decided projects gives
     _assert_kept_bounds_are_exact(*election)
 
 
