@@ -8,10 +8,12 @@ when it runs, not when the table is built, so code that rebinds a module
 attribute such as ``bench.solve_cc`` (a tracer, a test double) still sees
 every call.
 
-A run is described by an :class:`ExperimentSpec`; :func:`run_experiment`
+A run is described by an :class:`ExperimentSpec`, which `spec_from_config`
+builds from the keys of `CONFIG_KEYS`; :func:`run_experiment`
 executes every instance x rule pair and returns one :class:`ResultRow` per
-pair, a failed pair included, with its reason.  A row's sw and rp are read
-off the compiled election's voter bitsets (`core.compile_election`, already
+pair, a failed pair included, with its reason.  `score_bundles`, which
+`pbbench solve` shares, scores the rows.  A row's sw and rp are read off the
+compiled election's voter bitsets (`core.compile_election`, already
 built by the rules): the sum of the funded projects' approver popcounts, and
 the popcount of their union.  The ratios divide by the instance's exact sw
 and rp optima.  An AV bundle attains the sw optimum and a CC bundle the rp
@@ -46,10 +48,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (ApprovalProfile, PBInstance, compile_election,
                    representation, social_welfare)
-from .datagen import PRESETS, generate
+from .datagen import GENERATOR_NAMES, generate
 from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
                     optimum_value, solve_av, solve_cc, solve_pav)
-from .fairness import find_ejr_violation
+from .fairness import check_t_cap, find_ejr_violation
 from .instances import city, tiny
 from .pabulib import parse_pb
 from .sequential import (NoVotersError, rule_x, rule_x_eps, rule_x_pav,
@@ -67,7 +69,7 @@ class ExperimentSpec:
     n_instances: int = 1              # generator datasets only
     tiebreak: str = "random"          # TieBreakPolicy variant
     t_cap: Optional[int] = None       # None: per-instance default cap
-    max_nodes: int = 2_000_000
+    max_nodes: int = SearchBudget.max_nodes
     record_time: bool = False
 
     def __post_init__(self):
@@ -81,8 +83,7 @@ class ExperimentSpec:
         SearchBudget(self.max_nodes)  # rejects a non-positive node budget
         if self.n_instances < 1:
             raise ValueError("n_instances must be positive")
-        if self.t_cap is not None and self.t_cap < 0:
-            raise ValueError("t_cap must be non-negative")
+        check_t_cap(self.t_cap)
 
 
 @dataclass(frozen=True)
@@ -122,15 +123,10 @@ def format_ratio(value: Fraction) -> str:
     return f"{sign}{scaled // 10 ** 6}.{scaled % 10 ** 6:06d}"
 
 
-def _tie_seed(spec_seed: int, instance_id: str, rule: str) -> int:
-    digest = hashlib.sha256(
-        f"{spec_seed}:{instance_id}:{rule}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _policy(spec: ExperimentSpec, instance_id: str, rule: str) -> TieBreakPolicy:
-    return TieBreakPolicy(spec.tiebreak,
-                          _tie_seed(spec.seed, instance_id, rule))
+    digest = hashlib.sha256(
+        f"{spec.seed}:{instance_id}:{rule}".encode()).digest()
+    return TieBreakPolicy(spec.tiebreak, int.from_bytes(digest[:8], "big"))
 
 
 class Rule(NamedTuple):
@@ -170,23 +166,42 @@ def load_dataset(name: str, seed: int = 0, count: int = 1
         return [("city", *city())]
     if name == "tiny":
         return [("tiny", *tiny())]
-    if name in PRESETS or name in ("euclidean", "partylist"):
-        out = []
-        for k in range(count):
-            inst, prof = generate(name, seed + k)
-            out.append((f"{name}-{seed + k:05d}", inst, prof))
-        return out
+    if name in GENERATOR_NAMES:
+        return [(f"{name}-{s:05d}", *generate(name, s))
+                for s in range(seed, seed + count)]
     if name.startswith("pabulib:"):
         path = Path(name.split(":", 1)[1])
         files = sorted(path.glob("*.pb")) if path.is_dir() else [path]
         if not files:
             raise FileNotFoundError(f"no .pb files under {path}")
-        out = []
-        for f in files:
-            inst, prof, _ = parse_pb(f.read_text(encoding="utf-8"))
-            out.append((f.stem, inst, prof))
-        return out
+        return [(f.stem, *parse_pb(f.read_text(encoding="utf-8"))[:2])
+                for f in files]
     raise ValueError(f"unknown dataset {name!r}")
+
+
+def score_bundles(instance: PBInstance, profile: ApprovalProfile,
+                  bundles: dict[str, frozenset], search_budget: SearchBudget
+                  ) -> dict[str, tuple[int, int, Optional[Fraction],
+                                       Optional[Fraction]]]:
+    """(sw, rp, util ratio, rep ratio) of each rule's bundle, read off the
+    voter bitsets against the optima (see the module docstring).  Raises
+    SearchBudgetExceeded when an optimum search runs over its budget."""
+    # an AV bundle attains the sw optimum and a CC bundle the rp one
+    av, cc = bundles.get("AV"), bundles.get("CC")
+    opt_sw = (social_welfare(profile, av) if av is not None
+              else optimum_value("sw", instance, profile, search_budget))
+    opt_rp = (representation(profile, cc) if cc is not None
+              else optimum_value("rp", instance, profile, search_budget))
+    election = compile_election(instance, profile)
+    approvers = dict(zip(election.ids, election.project_masks))
+    scores = {}
+    for rule, bundle in bundles.items():
+        masks = list(map(approvers.__getitem__, bundle))
+        sw = sum(mask.bit_count() for mask in masks)
+        rp = functools.reduce(operator.or_, masks, 0).bit_count()
+        scores[rule] = (sw, rp, Fraction(sw, opt_sw) if opt_sw else None,
+                        Fraction(rp, opt_rp) if opt_rp else None)
+    return scores
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -206,36 +221,21 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             ms = (int(round((time.perf_counter() - t0) * 1000))
                   if spec.record_time else None)
             outcomes[rule] = (bundle, ms, "")
-        # an AV bundle attains the sw optimum and a CC bundle the rp one
-        av, cc = outcomes.get("AV", (None,))[0], outcomes.get("CC", (None,))[0]
         try:
-            opt_sw = (social_welfare(prof, av) if av is not None
-                      else optimum_value("sw", inst, prof, budget))
-            opt_rp = (representation(prof, cc) if cc is not None
-                      else optimum_value("rp", inst, prof, budget))
-        except SearchBudgetExceeded as e:
-            for rule in spec.rules:
-                rows.append(ResultRow(instance_id, rule, None, None, None,
-                                      None, "", None, f"optima: {e}"))
-            continue
-        # scores from the approver bitsets of the funded projects
-        election = compile_election(inst, prof)
-        approvers = dict(zip(election.ids, election.project_masks))
+            scores = score_bundles(inst, prof, {
+                rule: bundle for rule, (bundle, _, _) in outcomes.items()
+                if bundle is not None}, budget)
+        except SearchBudgetExceeded as e:  # fails every row
+            outcomes = dict.fromkeys(spec.rules, (None, None, f"optima: {e}"))
         for rule in spec.rules:
             bundle, ms, reason = outcomes[rule]
             if bundle is None:
                 rows.append(ResultRow(instance_id, rule, None, None, None,
                                       None, "", None, reason))
                 continue
-            masks = list(map(approvers.__getitem__, bundle))
-            sw = sum(mask.bit_count() for mask in masks)
-            rp = functools.reduce(operator.or_, masks, 0).bit_count()
             verdict = find_ejr_violation(inst, prof, bundle, spec.t_cap)
-            rows.append(ResultRow(
-                instance_id, rule, sw, rp,
-                Fraction(sw, opt_sw) if opt_sw else None,
-                Fraction(rp, opt_rp) if opt_rp else None,
-                verdict.status, ms, ""))
+            rows.append(ResultRow(instance_id, rule, *scores[rule],
+                                  verdict.status, ms, ""))
     rows.sort(key=lambda r: (r.instance, r.rule))
     return rows
 
@@ -341,35 +341,35 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+# config key -> (ExperimentSpec field, reader of the key's text, what the
+# text must be); each key is also the dest of a `pbbench bench` flag
+CONFIG_KEYS = {
+    "dataset": ("dataset", str, ""),
+    "rules": ("rules", lambda text: tuple(
+        r.strip() for r in text.split(",") if r.strip()), ""),
+    "seed": ("seed", int, "an integer"),
+    "instances": ("n_instances", int, "an integer"),
+    "tiebreak": ("tiebreak", str, ""),
+    "tcap": ("t_cap", int, "an integer"),
+    "max_nodes": ("max_nodes", int, "an integer"),
+    "record_time": ("record_time",
+                    lambda text: {"true": True, "false": False}[text.lower()],
+                    "true or false"),
+}
+
+
 def spec_from_config(values: dict[str, str]) -> ExperimentSpec:
-    known = {"dataset", "rules", "seed", "instances", "tiebreak", "tcap",
-             "max_nodes", "record_time"}
-    unknown = set(values) - known
+    """The spec of the given keys; an absent key keeps its field's default."""
+    unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config key(s) {sorted(unknown)}")
     if "dataset" not in values or "rules" not in values:
-        raise ValueError("config needs at least dataset= and rules=")
-
-    def integer(key: str, default: Optional[int]) -> Optional[int]:
-        if key not in values:
-            return default
+        raise ValueError("spec needs dataset and rules")
+    fields = {}
+    for key, text in values.items():
+        field, read, kind = CONFIG_KEYS[key]
         try:
-            return int(values[key])
-        except ValueError:
-            raise ValueError(f"config key {key} must be an integer, "
-                             f"got {values[key]!r}") from None
-
-    record_time = values.get("record_time", "false")
-    if record_time.lower() not in ("true", "false"):
-        raise ValueError("config key record_time must be true or false, "
-                         f"got {record_time!r}")
-    return ExperimentSpec(
-        dataset=values["dataset"],
-        rules=tuple(r.strip() for r in values["rules"].split(",") if r.strip()),
-        seed=integer("seed", 0),
-        n_instances=integer("instances", 1),
-        tiebreak=values.get("tiebreak", "random"),
-        t_cap=integer("tcap", None),
-        max_nodes=integer("max_nodes", 2_000_000),
-        record_time=record_time.lower() == "true",
-    )
+            fields[field] = read(text)
+        except (ValueError, KeyError):
+            raise ValueError(f"{key} must be {kind}, got {text!r}") from None
+    return ExperimentSpec(**fields)

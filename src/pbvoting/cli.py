@@ -19,37 +19,26 @@ import argparse
 import csv
 import io
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .adversarial import Family, build, default_sweeps, verify
-from .bench import (ExperimentSpec, aggregate, format_ratio, load_dataset,
+from .bench import (CONFIG_KEYS, aggregate, format_ratio, load_dataset,
                     parse_config, rows_to_csv, run_experiment, run_rule,
-                    spec_from_config, summaries_to_csv, summaries_to_text)
-from .core import representation, social_welfare
-from .datagen import PRESETS, generate
-from .exact import (SearchBudget, SearchBudgetExceeded, TieBreakPolicy,
-                    optimum_value)
-from .fairness import find_ejr_violation
+                    score_bundles, spec_from_config, summaries_to_csv,
+                    summaries_to_text)
+from .datagen import GENERATOR_NAMES, PRESETS, generate
+from .exact import SearchBudget, SearchBudgetExceeded, TieBreakPolicy
+from .fairness import check_t_cap, find_ejr_violation
 from .pabulib import write_pb
 from .sequential import NoVotersError
 
 
-def _dataset_args(p: argparse.ArgumentParser):
-    p.add_argument("--dataset", help="city | tiny | euclidean | partylist | "
-                   "pabulib:<path> | preset name")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="shorthand for --dataset <preset>")
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _resolve_dataset(args) -> str:
-    if args.preset and args.dataset:
-        raise ValueError("give either --dataset or --preset, not both")
-    dataset = args.preset or args.dataset
-    if not dataset:
-        raise ValueError("a dataset is required (--dataset or --preset)")
-    return dataset
+def _dataset_args(p: argparse.ArgumentParser, required: bool):
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--dataset", help="city | tiny | euclidean | "
+                       "partylist | pabulib:<path> | preset name")
+    group.add_argument("--preset", choices=sorted(PRESETS),
+                       help="shorthand for --dataset <preset>")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,34 +48,44 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one rule on one instance")
-    _dataset_args(p)
-    p.add_argument("--rule", required=True)
+    _dataset_args(p, required=True)
+    # the spec flags of solve and bench have the dests of their config keys
+    # and stay None when absent, so that `spec_from_config` reads them all
+    p.add_argument("--rule", dest="rules", metavar="RULE", required=True)
+    p.add_argument("--seed")
     p.add_argument("--tiebreak", default="lex-by-id")
+    p.add_argument("--tcap")
+    p.add_argument("--max-nodes")
     p.add_argument("--tie-seed", type=int, default=0,
                    help="seed for --tiebreak random")
-    p.add_argument("--tcap", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=2_000_000)
 
-    p = sub.add_parser("bench", help="run an experiment, emit CSV/SVG")
+    p = sub.add_parser(
+        "bench", help="run an experiment, emit CSV/SVG",
+        description="A flag given here overrides the same key of the "
+        "--config file: --max-nodes sets max_nodes, --preset sets dataset. "
+        "A key given by neither keeps its default.")
     p.add_argument("--config", help="flat key=value spec file")
-    _dataset_args(p)
+    _dataset_args(p, required=False)
     p.add_argument("--rules", help="comma-separated rule names")
-    p.add_argument("--instances", type=int, default=1)
-    p.add_argument("--tiebreak", default="random")
-    p.add_argument("--tcap", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=2_000_000)
+    p.add_argument("--seed")
+    p.add_argument("--instances")
+    p.add_argument("--tiebreak")
+    p.add_argument("--tcap")
+    p.add_argument("--max-nodes")
+    p.add_argument("--record-time", action="store_const", const="true")
     p.add_argument("--out-csv", help="write per-row results here")
     p.add_argument("--out-summary-csv", help="write per-rule summaries here")
     p.add_argument("--out-svg", help="write the ratio scatter plot here")
-    p.add_argument("--record-time", action="store_true")
 
     p = sub.add_parser("generate", help="write synthetic .pb files")
-    _dataset_args(p)
+    _dataset_args(p, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("check-ejr", help="audit a bundle for EJR")
-    _dataset_args(p)
+    _dataset_args(p, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bundle", required=True,
                    help="comma-separated project ids")
     p.add_argument("--tcap", type=int, default=None)
@@ -98,31 +97,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _spec(args, values: dict[str, str]):
+    """`spec_from_config` of `values`, each spec flag given put over them."""
+    flags = vars(args) | {"dataset": args.preset or args.dataset}
+    values.update((key, flags[key]) for key in CONFIG_KEYS
+                  if flags.get(key) is not None)
+    return spec_from_config(values)
+
+
 def _cmd_solve(args) -> int:
-    # reject bad options before the dataset is loaded and any rule runs
-    if args.tcap is not None and args.tcap < 0:
-        raise ValueError("t_cap must be non-negative")
-    policy = TieBreakPolicy(args.tiebreak, args.tie_seed)
-    budget = SearchBudget(args.max_nodes)
-    instance_id, inst, prof = load_dataset(_resolve_dataset(args),
-                                           args.seed)[0]
-    bundle = run_rule(args.rule, inst, prof, policy, budget)
-    sw = social_welfare(prof, bundle)
-    rp = representation(prof, bundle)
-    # an AV bundle attains the sw optimum and a CC bundle the rp one
-    opt_sw = sw if args.rule == "AV" else optimum_value("sw", inst, prof,
-                                                         budget)
-    opt_rp = rp if args.rule == "CC" else optimum_value("rp", inst, prof,
-                                                         budget)
-    verdict = find_ejr_violation(inst, prof, bundle, args.tcap)
+    spec = _spec(args, {})  # rejects bad options before the dataset loads
+    if len(spec.rules) != 1:
+        raise ValueError(f"solve runs one rule, got {args.rules!r}")
+    rule = spec.rules[0]
+    budget = SearchBudget(spec.max_nodes)
+    instance_id, inst, prof = load_dataset(spec.dataset, spec.seed)[0]
+    bundle = run_rule(rule, inst, prof,
+                      TieBreakPolicy(spec.tiebreak, args.tie_seed), budget)
+    sw, rp, util, rep = score_bundles(inst, prof, {rule: bundle}, budget)[rule]
+    verdict = find_ejr_violation(inst, prof, bundle, spec.t_cap)
     print(f"instance    {instance_id}")
-    print(f"rule        {args.rule}")
+    print(f"rule        {rule}")
     print(f"bundle      {','.join(sorted(bundle))}")
     print(f"cost        {inst.cost_of(bundle)} / {inst.budget}")
-    print(f"sw          {sw} (ratio {format_ratio(Fraction(sw, opt_sw))})"
-          if opt_sw else f"sw          {sw}")
-    print(f"rp          {rp} (ratio {format_ratio(Fraction(rp, opt_rp))})"
-          if opt_rp else f"rp          {rp}")
+    for name, score, ratio in (("sw", sw, util), ("rp", rp, rep)):
+        print(f"{name:12s}{score}" if ratio is None
+              else f"{name:12s}{score} (ratio {format_ratio(ratio)})")
     print(f"ejr         {verdict.status}")
     if verdict.witness:
         print(f"witness     T={sorted(verdict.witness.projects)} "
@@ -131,19 +131,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        spec = spec_from_config(
-            parse_config(Path(args.config).read_text(encoding="utf-8")))
-    else:
-        dataset = _resolve_dataset(args)
-        if not args.rules:
-            raise ValueError("--rules is required without --config")
-        spec = ExperimentSpec(
-            dataset=dataset,
-            rules=tuple(r.strip() for r in args.rules.split(",") if r.strip()),
-            seed=args.seed, n_instances=args.instances,
-            tiebreak=args.tiebreak, t_cap=args.tcap,
-            max_nodes=args.max_nodes, record_time=args.record_time)
+    spec = _spec(args, parse_config(
+        Path(args.config).read_text(encoding="utf-8")) if args.config else {})
     rows = run_experiment(spec)
     if args.out_csv:
         Path(args.out_csv).write_text(rows_to_csv(rows), encoding="utf-8")
@@ -167,9 +156,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    dataset = _resolve_dataset(args)
-    if dataset not in PRESETS and dataset not in ("euclidean", "partylist"):
+    dataset = args.preset or args.dataset
+    if dataset not in GENERATOR_NAMES:
         raise ValueError(f"generate needs a generator dataset, got {dataset!r}")
+    if args.count < 1:
+        raise ValueError("count must be positive")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
@@ -182,7 +173,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check_ejr(args) -> int:
-    instance_id, inst, prof = load_dataset(_resolve_dataset(args),
+    check_t_cap(args.tcap)  # before the dataset loads
+    instance_id, inst, prof = load_dataset(args.preset or args.dataset,
                                            args.seed)[0]
     bundle = frozenset(s.strip() for s in args.bundle.split(",") if s.strip())
     verdict = find_ejr_violation(inst, prof, bundle, args.tcap)
@@ -207,19 +199,16 @@ def _cmd_adversarial(args) -> int:
     for family in families:
         for params in sweeps[family]:
             report = verify(build(family, **params))
-            case = report.case
-            ok = report.ok
+            case, ok = report.case, report.ok
             bad += not ok
+            shown = " ".join(f"{k}={v}" for k, v in params.items())
             writer.writerow([
-                family.value,
-                " ".join(f"{k}={v}" for k, v in params.items()),
-                case.target_rule, case.ratio_kind,
+                family.value, shown, case.target_rule, case.ratio_kind,
                 format_ratio(report.achieved_ratio),
                 format_ratio(case.expected_ratio),
                 f"{case.bound_value:.6f}", "yes" if ok else "NO"])
             status = "ok " if ok else "BAD"
-            print(f"{status} {family.value:15s} "
-                  f"{' '.join(f'{k}={v}' for k, v in params.items()):24s} "
+            print(f"{status} {family.value:15s} {shown:24s} "
                   f"ratio={format_ratio(report.achieved_ratio)} "
                   f"bound={case.bound_value:.6f}")
     if args.out_csv:

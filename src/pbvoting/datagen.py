@@ -145,6 +145,9 @@ PRESETS: dict[str, tuple[str, object]] = {
         projects_per_group_range=(2, 5))),
 }
 
+# every name `generate` accepts: a generator kind or a preset
+GENERATOR_NAMES = frozenset(("euclidean", "partylist", *PRESETS))
+
 
 def generate(kind: str, seed: int,
              config: Optional[object] = None

@@ -88,6 +88,12 @@ def max_t_cap(instance: PBInstance) -> int:
     return int(instance.budget // instance.c_min)
 
 
+def check_t_cap(t_cap: Optional[int]) -> None:
+    """Reject a negative t_cap; None stands for the default cap."""
+    if t_cap is not None and t_cap < 0:
+        raise ValueError("t_cap must be non-negative")
+
+
 def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
                        bundle: Iterable[str],
                        t_cap: Optional[int] = None) -> EjrVerdict:
@@ -98,6 +104,7 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
     feasible witness size; otherwise it is "unknown".  Either way the verdict
     counts the candidate sets T the search tried.
     """
+    check_t_cap(t_cap)
     election = compile_election(instance, profile)
     funded = frozenset(bundle)
     for pid in funded:
@@ -106,8 +113,6 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
     top = election.budget // min(election.costs)
     if t_cap is None:
         t_cap = min(top, _DEFAULT_CAP)
-    if t_cap < 0:
-        raise ValueError("t_cap must be non-negative")
     witness, examined = _search(election, funded, t_cap)
     if witness is not None:
         return EjrVerdict("violated", t_cap, witness, examined)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import clear_memos
-from pbvoting import bench, core, plotting, sequential
+from pbvoting import bench, cli, core, plotting, sequential
 from pbvoting.bench import (RULE_NAMES, RULES, ExperimentSpec, ResultRow,
                             RuleSummary, aggregate, format_ratio,
                             parse_config, rows_to_csv, run_experiment,
@@ -154,28 +154,52 @@ def test_parse_config_and_spec():
     tiebreak = lex-by-id
     """
     spec = spec_from_config(parse_config(text))
-    assert spec.dataset == "city"
-    assert spec.rules == ("AV", "CC")
-    assert spec.seed == 3
+    # an absent key keeps the dataclass default
+    assert spec == ExperimentSpec("city", ("AV", "CC"), seed=3,
+                                  tiebreak="lex-by-id")
+    assert spec.max_nodes == SearchBudget().max_nodes
     with pytest.raises(ValueError, match="duplicate"):
         parse_config("a=1\na=2")
     with pytest.raises(ValueError, match="key=value"):
         parse_config("just words")
     with pytest.raises(ValueError, match="unknown config key"):
         spec_from_config({"dataset": "city", "rules": "AV", "zz": "1"})
+    with pytest.raises(ValueError, match="^spec needs dataset and rules$"):
+        spec_from_config({"dataset": "city"})
 
 
-@pytest.mark.parametrize("key, value, error", [
-    ("record_time", "yes",
-     "config key record_time must be true or false, got 'yes'"),
-    ("seed", "abc", "config key seed must be an integer, got 'abc'"),
-    ("instances", "2.5", "config key instances must be an integer"),
-    ("tcap", "", "config key tcap must be an integer"),
-    ("max_nodes", "1e6", "config key max_nodes must be an integer"),
-])
-def test_a_bad_config_value_names_its_key(key, value, error):
-    with pytest.raises(ValueError, match=error):
-        spec_from_config({"dataset": "city", "rules": "AV", key: value})
+BAD_VALUES = [
+    ("record_time", "yes", "record_time must be true or false, got 'yes'"),
+    ("seed", "abc", "seed must be an integer, got 'abc'"),
+    ("instances", "2.5", "instances must be an integer, got '2.5'"),
+    ("tcap", "", "tcap must be an integer, got ''"),
+    ("max_nodes", "1e6", "max_nodes must be an integer, got '1e6'"),
+    ("--seed", "abc", "seed must be an integer, got 'abc'"),
+    ("--instances", "2.5", "instances must be an integer, got '2.5'"),
+    ("--tcap", "", "tcap must be an integer, got ''"),
+    ("--max-nodes", "1e6", "max_nodes must be an integer, got '1e6'"),
+]
+
+
+@pytest.mark.parametrize("key, value, error", BAD_VALUES,
+                         ids=[key for key, _, _ in BAD_VALUES])
+def test_a_bad_config_value_names_its_key(tmp_path, monkeypatch, capsys,
+                                          key, value, error):
+    # a config key and the `pbbench bench` flag of that key fail alike,
+    # before any dataset loads
+    calls = []
+    monkeypatch.setattr(bench, "load_dataset",
+                        lambda *a: calls.append(a) or [])
+    if key.startswith("--"):
+        argv = ["bench", "--dataset", "city", "--rules", "AV", key, value]
+    else:
+        config = tmp_path / "spec.cfg"
+        config.write_text(f"dataset = city\nrules = AV\n{key} = {value}\n",
+                          encoding="utf-8")
+        argv = ["bench", "--config", str(config)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert calls == []
 
 
 def test_record_time_reads_true_or_false_in_any_case():

@@ -1,6 +1,7 @@
 import pytest
 
 from pbvoting import bench, cli
+from pbvoting.bench import RULE_NAMES, ExperimentSpec
 from pbvoting.cli import main
 from pbvoting.core import ApprovalProfile
 from pbvoting.datagen import EuclideanConfig, gen_euclidean
@@ -106,6 +107,9 @@ def test_bench_rejects_a_negative_tcap_before_any_rule_runs(monkeypatch,
     ("--tcap", "-1", "t_cap must be non-negative"),
     ("--max-nodes", "0", "max_nodes must be positive"),
     ("--tiebreak", "worst", "unknown tie-break variant 'worst'"),
+    ("--rule", "XX", f"unknown rule 'XX'; choose from {RULE_NAMES}"),
+    ("--rule", "AV,CC", "solve runs one rule, got 'AV,CC'"),
+    ("--seed", "abc", "seed must be an integer, got 'abc'"),
 ])
 def test_solve_rejects_a_bad_option_before_any_rule_runs(monkeypatch, capsys,
                                                          flag, value, error):
@@ -127,3 +131,65 @@ def test_bench_rejects_a_zero_node_budget_before_loading_a_dataset(
                  "--max-nodes", "0"]) == 2
     assert capsys.readouterr().err == "error: max_nodes must be positive\n"
     assert calls == []
+
+
+def test_check_ejr_rejects_a_negative_tcap_before_loading_a_dataset(
+        monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda *a: calls.append(a) or [])
+    assert main(["check-ejr", "--dataset", "city", "--bundle", "A-d0",
+                 "--tcap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: t_cap must be non-negative\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_rejects_a_non_positive_count_before_writing(tmp_path,
+                                                              capsys, count):
+    out = tmp_path / "corpus"
+    assert main(["generate", "--preset", "euclidean-desk", "--count", count,
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: count must be positive\n")
+    assert not out.exists()
+
+
+def _tiny_config(tmp_path):
+    config = tmp_path / "spec.cfg"
+    config.write_text("dataset = tiny\nrules = AV\ntiebreak = lex-by-id\n",
+                      encoding="utf-8")
+    return str(config)
+
+
+def test_bench_checks_the_flags_given_with_a_config(tmp_path, monkeypatch,
+                                                    capsys):
+    calls = []
+    for name in ("solve_av", "solve_cc", "solve_pav"):
+        monkeypatch.setattr(bench, name,
+                            lambda *a: calls.append(a) or frozenset())
+    rows = tmp_path / "rows.csv"
+    assert main(["bench", "--config", _tiny_config(tmp_path), "--tcap", "-5",
+                 "--max-nodes", "0", "--rules", "CC,PAV", "--record-time",
+                 "--out-csv", str(rows)]) == 2
+    assert capsys.readouterr() == ("", "error: max_nodes must be positive\n")
+    assert calls == []
+    assert not rows.exists()
+
+
+def test_a_bench_flag_overrides_its_config_key(tmp_path, monkeypatch, capsys):
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda spec: specs.append(spec)
+                        or bench.run_experiment(spec))
+    rows = tmp_path / "rows.csv"
+    assert main(["bench", "--config", _tiny_config(tmp_path), "--rules", "CC",
+                 "--out-csv", str(rows)]) == 0
+    assert specs == [ExperimentSpec("tiny", ("CC",), tiebreak="lex-by-id")]
+    assert [line.split(",")[:2] for line in
+            rows.read_text(encoding="utf-8").splitlines()[1:]] == [
+        ["tiny", "CC"]]
+
+
+def test_bench_needs_a_dataset_and_rules(capsys):
+    assert main(["bench", "--rules", "AV"]) == 2
+    assert capsys.readouterr().err == "error: spec needs dataset and rules\n"
