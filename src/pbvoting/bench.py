@@ -170,13 +170,18 @@ def load_dataset(name: str, seed: int = 0, count: int = 1
         return [(f"{name}-{s:05d}", *generate(name, s))
                 for s in range(seed, seed + count)]
     if name.startswith("pabulib:"):
-        path = Path(name.split(":", 1)[1])
-        files = sorted(path.glob("*.pb")) if path.is_dir() else [path]
-        if not files:
-            raise FileNotFoundError(f"no .pb files under {path}")
         return [(f.stem, *parse_pb(f.read_text(encoding="utf-8"))[:2])
-                for f in files]
+                for f in pabulib_files(Path(name.split(":", 1)[1]))]
     raise ValueError(f"unknown dataset {name!r}")
+
+
+def pabulib_files(path: Path) -> list[Path]:
+    """The .pb files of dataset ``pabulib:<path>``: a directory's, sorted by
+    name, or the file itself."""
+    files = sorted(path.glob("*.pb")) if path.is_dir() else [path]
+    if not files:
+        raise FileNotFoundError(f"no .pb files under {path}")
+    return files
 
 
 def score_bundles(instance: PBInstance, profile: ApprovalProfile,

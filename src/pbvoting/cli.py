@@ -23,9 +23,9 @@ from pathlib import Path
 
 from .adversarial import Family, build, default_sweeps, verify
 from .bench import (CONFIG_KEYS, aggregate, format_ratio, load_dataset,
-                    parse_config, rows_to_csv, run_experiment, run_rule,
-                    score_bundles, spec_from_config, summaries_to_csv,
-                    summaries_to_text)
+                    pabulib_files, parse_config, rows_to_csv, run_experiment,
+                    run_rule, score_bundles, spec_from_config,
+                    summaries_to_csv, summaries_to_text)
 from .datagen import GENERATOR_NAMES, PRESETS, generate
 from .exact import SearchBudget, SearchBudgetExceeded, TieBreakPolicy
 from .fairness import check_t_cap, find_ejr_violation
@@ -105,13 +105,26 @@ def _spec(args, values: dict[str, str]):
     return spec_from_config(values)
 
 
+def _load_one(command: str, dataset: str, seed: int):
+    """The one election that solve and check-ejr act on.  A ``pabulib:``
+    directory must hold one .pb file alone; that is checked before any file
+    is parsed."""
+    if dataset.startswith("pabulib:"):
+        path = Path(dataset.split(":", 1)[1])
+        files = pabulib_files(path)
+        if len(files) > 1:
+            raise ValueError(f"{command} acts on one election, but "
+                             f"{path} holds {len(files)} .pb files")
+    return load_dataset(dataset, seed)[0]
+
+
 def _cmd_solve(args) -> int:
     spec = _spec(args, {})  # rejects bad options before the dataset loads
     if len(spec.rules) != 1:
         raise ValueError(f"solve runs one rule, got {args.rules!r}")
     rule = spec.rules[0]
     budget = SearchBudget(spec.max_nodes)
-    instance_id, inst, prof = load_dataset(spec.dataset, spec.seed)[0]
+    instance_id, inst, prof = _load_one("solve", spec.dataset, spec.seed)
     bundle = run_rule(rule, inst, prof,
                       TieBreakPolicy(spec.tiebreak, args.tie_seed), budget)
     sw, rp, util, rep = score_bundles(inst, prof, {rule: bundle}, budget)[rule]
@@ -174,8 +187,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check_ejr(args) -> int:
     check_t_cap(args.tcap)  # before the dataset loads
-    instance_id, inst, prof = load_dataset(args.preset or args.dataset,
-                                           args.seed)[0]
+    instance_id, inst, prof = _load_one("check-ejr",
+                                        args.preset or args.dataset, args.seed)
     bundle = frozenset(s.strip() for s in args.bundle.split(",") if s.strip())
     verdict = find_ejr_violation(inst, prof, bundle, args.tcap)
     print(f"instance  {instance_id}")

@@ -14,17 +14,22 @@ All randomness flows through ``numpy.random.SeedSequence`` with one child
 stream per concern, so adding a new draw to one stream never perturbs the
 others, and the same seed reproduces the same instance byte for byte.
 Costs and budgets are rounded to whole cents and stored as exact fractions.
+
+Only these generators need numpy, and they import it on their first call:
+importing this module, or any other of the library, does not load it, so a
+run on Pabulib files or the built-in instances never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .core import ApprovalProfile, PBInstance, Project
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,19 +60,20 @@ def _cents(x: float) -> Fraction:
 
 
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
+    import numpy as np
     return [np.random.Generator(np.random.PCG64(s))
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def _points(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
-    pts = rng.normal(0.5, sigma, size=(n, 2))
-    return np.clip(pts, 0.0, 1.0)
+    return rng.normal(0.5, sigma, size=(n, 2)).clip(0.0, 1.0)
 
 
 def gen_euclidean(seed: int,
                   config: EuclideanConfig = EuclideanConfig()
                   ) -> tuple[PBInstance, ApprovalProfile]:
     """Spatial instance: voters approve their nearest projects."""
+    import numpy as np
     cfg = config
     if cfg.n_voters < 1 or cfg.n_projects < 1:
         raise ValueError("need at least one voter and one project")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from pbvoting import bench, cli
@@ -7,6 +9,8 @@ from pbvoting.core import ApprovalProfile
 from pbvoting.datagen import EuclideanConfig, gen_euclidean
 from pbvoting.instances import tiny
 from pbvoting.pabulib import write_pb
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_solve_prints_ratios_against_the_optima(capsys):
@@ -152,6 +156,45 @@ def test_generate_rejects_a_non_positive_count_before_writing(tmp_path,
                  "--out-dir", str(out)]) == 2
     assert capsys.readouterr() == ("", "error: count must be positive\n")
     assert not out.exists()
+
+
+def _parse_calls(monkeypatch):
+    """The texts that `bench.parse_pb` parses from here on."""
+    texts = []
+    parse_pb = bench.parse_pb
+    monkeypatch.setattr(bench, "parse_pb",
+                        lambda text: texts.append(text) or parse_pb(text))
+    return texts
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--rule", "RX"), ("check-ejr", "--bundle", "p000")])
+def test_a_pabulib_directory_of_several_files_is_refused(
+        tmp_path, monkeypatch, capsys, command, flag, value):
+    out = tmp_path / "gen"
+    assert main(["generate", "--preset", "euclidean-desk", "--count", "3",
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    texts = _parse_calls(monkeypatch)
+    assert main([command, "--dataset", f"pabulib:{out}", flag, value]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {command} acts on one election, but {out} holds 3 .pb "
+        "files\n"))
+    assert texts == []
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--rule", "RX"),
+    ("check-ejr", "--bundle", "A-g0,A-g1,A-g2,A-g3,A-g4,B-e0,B-e1,B-e2")])
+def test_a_pabulib_directory_of_one_file_is_read(
+        tmp_path, monkeypatch, capsys, command, flag, value):
+    text = (DATA / "city.pb").read_text(encoding="utf-8")
+    (tmp_path / "city.pb").write_text(text, encoding="utf-8")
+    texts = _parse_calls(monkeypatch)
+    assert main([command, "--dataset", f"pabulib:{tmp_path}", flag,
+                 value]) == 0
+    assert capsys.readouterr().out.split()[:2] == ["instance", "city"]
+    assert texts == [text]
 
 
 def _tiny_config(tmp_path):
