@@ -239,6 +239,17 @@ def _compile(instance: PBInstance, voters: tuple) -> Election:
                     for k, key in enumerate(zip(costs, approvers))))
 
 
+def lift(levels: list[int], mask: int) -> list[int]:
+    """`levels` with the voters of `mask` moved up one level, where levels[k]
+    is the bitset of the voters counted k times or more (levels[0]: all)."""
+    below = levels[0]
+    lifted = [below]
+    for level in levels[1:]:
+        lifted.append(level | below & mask)
+        below = level
+    return lifted
+
+
 def _check_bundle(instance: Optional[PBInstance], bundle: Iterable[str]):
     if instance is not None:
         known = set(instance.project_ids)

@@ -18,9 +18,8 @@ search that finds the optimum, streaming over the set without storing it.
 The search runs on integers only.  Costs and the budget are the compiled
 election's, multiplied by D, the least common multiple of their denominators
 (D = 100 for cent-valued data).  Harmonic scores are multiplied by
-L = lcm(1..K), where K is the longest ballot: a group of w voters with c
-funded approvals gains w * (L // (c+1)) from one more, and L * H(k) comes
-from a precomputed table.
+L = lcm(1..K), where K is the longest ballot: a voter with c funded
+approvals gains gain[c] = L // (c+1) from one more.
 `optimum_value("pav")` divides by L again, so values and bundles at the API
 are the exact ones.
 
@@ -30,15 +29,18 @@ branch: the partly taken item contributes v*r // c.  Knapsack items are
 ordered by exact density (v times lcm(costs)/c, an integer); a rounded order
 could take a worse item first and make the bound inadmissible.
 
-For rp and pav the bound is also capped per group.  A group of w voters with
-c funded approvals and a live ones (undecided and affordable) can gain at
-most w * (harm[c+a] - harm[c]), whatever the budget.  For pav that is the
-harmonic cap, tighter than summing each project's gain because later projects
-add diminishing increments.  For rp (gains 1, 0, 0, ...) it is the union
-bound: the weight of the uncovered groups that some live project still
-reaches.  The knapsack alone counts such a group once for each of its live
-projects, however few of them fit together.  A node is pruned when either
-bound falls below the cut.
+rp's knapsack discounts overlaps: in density order v/c, v a live project's
+uncovered approvers, each project counts only the `new` of them that no
+earlier one counted, at cost c*new/v.  That is at most the plain knapsack
+and the union bound, and it is admissible: for any l >= 0, an affordable
+set of live projects covers at most l*residual + sum over voters of
+max(0, 1 - l*c/v), c/v that of the first project reaching the voter, as
+each project's cost spread over its v voters charges a covered one at least
+that.  The walk is this sum (a Lagrangian bound) at l = the density where
+the money runs out.  pav's knapsack is also capped: a voter with t funded
+or live (undecided, affordable) approvals reaches at most
+gain[0] + ... + gain[t-1].  A node is pruned when either bound is below the
+cut.
 
 `optimum_value` prunes a branch when floor(bound) <= best, which cuts more
 than the unfloored test.  A `solve_*` call makes one pass that finds the
@@ -56,32 +58,32 @@ worst-sw/worst-rp cut on the secondary score fires only where
 floor(bound) <= incumbent: a branch that may still beat the incumbent can
 hold the optimum, whatever its secondary score.
 
-A bound is one pass over the live projects, with no recount of their
-approvers.  Every search keeps sw and rp, the worst-sw and worst-rp keys,
-the same way: funding a project adds its approval count to sw and ORs its
-approvers, the compiled election's voter mask, into a bitset of covered
-voters, and rp is the popcount of that bitset.  The sw knapsack reads the
-static approval counts.  An rp gain is popcount(mask & ~covered) and the
-union bound is popcount(OR of the live masks & ~covered).  Only pav keeps
-per-group state: the marginal gain of each project after the last one
-funded, kept up to date as projects are funded and taken back, and each
-group's a and the cap itself: funding a live project leaves c + a and so
-the cap unchanged, and passing a project, or pricing one out when the
-residual falls, lowers the cap by w * gain[c + a - 1] for each group that
-approves it.
+A bound is one pass over the live projects, and no search keeps state per
+voter group.  The funded approvals are voter bitsets in levels: reached[k]
+holds the voters with at least k, reached[0] every voter.  Funding a
+project lifts its approvers one level (`core.lift`), and the undo stack
+keeps the levels from before.  sw and rp, the worst-sw and worst-rp keys,
+read reached[1] alone: sw adds each funded project's approval count, and rp
+is popcount(reached[1]).  pav keeps the levels up to the longest ballot.
+Its score is sum_k gain[k-1] * |reached[k]|, a live project with approvers
+M gains gain[0] * |M| + sum_k (gain[k] - gain[k-1]) * |M & reached[k]|, which
+the bound works out once between fundings, and the cap is
+sum_k gain[k-1] * |total[k]|, total[k] holding the voters with at least k
+funded or live approvals.  Passing or pricing out a project moves its
+approvers down one level of total, and funding one leaves it as it is.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional
 
-from .core import ApprovalProfile, Election, PBInstance, compile_election
+from .core import (ApprovalProfile, Election, PBInstance, compile_election,
+                   lift)
 
 _VARIANTS = ("worst-sw", "worst-rp", "random", "lex-by-id", "cheapest-first")
 
@@ -136,7 +138,7 @@ class SearchStats:
     """What one `_Search` did; every count is deterministic for its input.
 
     `cap_prunes` counts the prunes where the knapsack bound reached the cut
-    and only the per-group cap fell below it.  `optima` counts the maximal
+    and only pav's cap fell below it.  `optima` counts the maximal
     leaves of `select` that tie its final incumbent: the whole tie set, up
     to symmetry breaking, except where the worst-sw/worst-rp cut skips some.
     `restarts` counts the leaves of `select` that beat its incumbent and so
@@ -207,34 +209,22 @@ class _Search:
         self.score = 0
         self.sw = 0
         self.rp = 0
-        self.covered = 0
-        self.saved: list[int] = []  # covered before each funded project
+        # reached[k]: the voters with at least k funded approvals
+        longest = max(map(len, election.ballots), default=0)
+        depth = max(longest, 1) if objective == "pav" else 1
+        everyone = (1 << len(election.group_of)) - 1
+        self.reached = [everyone] + [0] * depth
+        self.saved: list[tuple] = []  # (reached, rp, score, gains) per funding
+        self.gains: dict[int, int] = {}  # pav: project gains off reached
         if objective == "pav":
-            self.weights = election.weights
-            self.approvers = [election.approvers[k] for k in order]
-            rank = {k: j for j, k in enumerate(order)}
-            self.approved = [sorted(rank[k] for k in ballot)
-                             for ballot in election.ballots]
-            # gain[c]: what one voter with c funded approvals adds to the
-            # objective when one more of them is funded, and harm[k] what k
-            # funded approvals give a voter.  Harmonic scores are multiplied
-            # by scale = L = lcm(1..K), which makes gain[c] = L/(c+1)
-            # integral and harm[k] = L * H(k).
-            self.gain = harmonic_gains(max(map(len, election.ballots),
-                                           default=0))
+            # gain[c]: what one more funded approval adds to a voter with c
+            self.gain = harmonic_gains(longest)
             self.scale = self.gain[0]
-            self.harm = list(accumulate(self.gain, initial=0))
-            # counts[g]: funded approvals of group g; value[j]: what funding
-            # project j alone would add to the objective now, kept for the
-            # projects after the last one funded
-            self.counts = [0] * len(self.weights)
-            self.value = [v * self.gain[0] for v in self.static]
-            # avail[g]: live projects that group g approves; ceiling: the
-            # per-group cap, kept as projects are funded and stop being live
-            self.avail = [sum(self.costs[j] <= self.budget for j in approved)
-                          for approved in self.approved]
-            self.ceiling = sum(w * self.harm[a]
-                               for w, a in zip(self.weights, self.avail))
+            # total[k]: the voters with at least k funded or live approvals
+            self.total = [everyone] + [0] * depth
+            for j in range(self.m):
+                if self.costs[j] <= self.budget:
+                    self.total = lift(self.total, self.masks[j])
 
     # -- state -------------------------------------------------------------
 
@@ -252,107 +242,106 @@ class _Search:
         For pav, the projects that the smaller residual prices out stop
         being live.
         """
-        adding = sign > 0
-        self.chosen[j] = adding
+        self.chosen[j] = sign > 0
         self.sw += sign * self.static[j]
-        if adding:
-            self.saved.append(self.covered)
-            self.covered |= self.masks[j]
+        if sign > 0:
+            self.saved.append((self.reached, self.rp, self.score, self.gains))
+            reached = self.reached = lift(self.reached, self.masks[j])
+            self.rp = reached[1].bit_count()
+            self.gains = {}
+            self.score = (sum(map(mul, self.gain, map(int.bit_count,
+                                                      reached[1:])))
+                          if self.objective == "pav" else
+                          self.sw if self.objective == "sw" else self.rp)
         else:
-            self.covered = self.saved.pop()
-        self.rp = self.covered.bit_count()
+            self.reached, self.rp, self.score, self.gains = self.saved.pop()
         rest = residual - self.costs[j]
-        if self.objective != "pav":
-            self.score = self.sw if self.objective == "sw" else self.rp
-            return rest
-        counts, weights, gain, value = (self.counts, self.weights, self.gain,
-                                        self.value)
-        score = 0
-        for g in self.approvers[j]:
-            c = counts[g] - (not adding)  # the count without project j
-            counts[g] = c + adding
-            w = weights[g]
-            score += w * gain[c]
-            # funding moves j from live to funded: c + a stays, and so does
-            # the ceiling
-            self.avail[g] -= sign
-            # only projects after j are read before j is taken back
-            step = (gain[c + 1] - gain[c]) * sign * w
-            approved = self.approved[g]
-            for k in approved[bisect_right(approved, j):]:
-                value[k] += step
-        self.score += sign * score
-        costs = self.costs
-        for k in range(j + 1, self.m):
-            if rest < costs[k] <= residual:
-                self._drop(k, sign)
+        if self.objective == "pav":
+            for k in range(j + 1, self.m):
+                if rest < self.costs[k] <= residual:
+                    self._drop(k, sign)
         return rest
 
     def _drop(self, j: int, sign: int):
         """Live project j stops being live (sign 1), passed over or priced
         out, or becomes live again (sign -1).  Only pav keeps state for it:
-        the ceiling falls by w * gain[c + a] per approving group, where a
-        counts the group's live projects without j.
+        its approvers move down one level of `total`, or back up.
         """
         if self.objective != "pav":
             return
-        counts, avail, weights, gain = (self.counts, self.avail, self.weights,
-                                        self.gain)
-        delta = 0
-        for g in self.approvers[j]:
-            a = avail[g] - (sign > 0)
-            avail[g] = a + (sign < 0)
-            delta += weights[g] * gain[counts[g] + a]
-        self.ceiling -= sign * delta
+        total, mask = self.total, self.masks[j]
+        # down: level k takes them from level k + 1; all are on level 1
+        self.total = (lift(total, mask) if sign < 0 else
+                      [below & ~mask | level & mask
+                       for below, level in zip(total, total[1:] + [0])])
 
     def _bound(self, idx: int, residual: int) -> tuple[int, int]:
-        """(floor of the fractional-knapsack bound, per-group cap) over the
-        live projects of node (idx, residual).
+        """(floor of the fractional-knapsack bound, cap) over the live
+        projects of node (idx, residual).
 
-        sw has no cap and repeats the knapsack bound in its place.
+        Only pav has a cap; sw and rp repeat their bound in its place.
         """
-        costs = self.costs
+        costs, masks, scale = self.costs, self.masks, self.density_scale
+        static, bound, r = self.static, self.score, residual
         if self.objective == "sw":
             # values are static, and the project order is by static density
-            value = self.static
-            bound, r = self.score, residual
             for j in range(idx, self.m):
                 c = costs[j]
                 if c > residual:
                     continue
                 if c > r:
-                    bound += value[j] * r // c
+                    bound += static[j] * r // c
                     break
-                bound += value[j]
+                bound += static[j]
                 r -= c
             return bound, bound
-        scale = self.density_scale
         if self.objective == "rp":
-            # the union bound (see the module docstring)
-            masks, free = self.masks, ~self.covered
-            items, union = [], 0
+            free = ~self.reached[1]
+            items = []
             for j in range(idx, self.m):
                 if costs[j] <= residual:
-                    union |= masks[j]
                     v = (masks[j] & free).bit_count()
                     if v:
-                        items.append((v * scale[j], v, costs[j]))
-            cap = self.score + (union & free).bit_count()
-        else:
-            value = self.value
-            items = [(value[j] * scale[j], value[j], costs[j])
-                     for j in range(idx, self.m)
-                     if costs[j] <= residual and value[j]]
-            cap = self.ceiling
+                        items.append((v * scale[j], j, v))
+            items.sort(reverse=True)
+            # the overlap-discounted knapsack (see the module docstring), in
+            # money units of 1/denom, so that each share c*new/v is whole
+            denom = 1
+            for _, j, v in items:
+                new = (masks[j] & free).bit_count()
+                if not new:
+                    continue
+                free &= ~masks[j]
+                if new < v:
+                    denom, r = denom * v, r * v
+                cost = costs[j] * new * denom // v
+                if cost > r:
+                    bound += r * v // (costs[j] * denom)
+                    break
+                bound += new
+                r -= cost
+            return bound, bound
+        # pav: each live project's gain off the levels, once per funding
+        gain, items, gains, steps = self.gain, [], self.gains, None
+        for j in range(idx, self.m):
+            if costs[j] <= residual:
+                if j not in gains:
+                    if steps is None:  # the levels that hold a voter
+                        steps = [(b - a, level) for a, b, level in zip(
+                            gain, gain[1:], self.reached[1:]) if level]
+                    v = gain[0] * static[j]
+                    for step, level in steps:
+                        v += step * (masks[j] & level).bit_count()
+                    gains[j] = v
+                items.append((gains[j] * scale[j], gains[j], costs[j]))
         items.sort(reverse=True)
-        bound, r = self.score, residual
         for _, v, c in items:
             if c > r:
                 bound += v * r // c
                 break
             bound += v
             r -= c
-        return bound, cap
+        return bound, sum(map(mul, gain, map(int.bit_count, self.total[1:])))
 
     def _is_maximal(self, residual: int) -> bool:
         for j in range(self.m):

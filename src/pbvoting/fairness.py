@@ -15,10 +15,10 @@ voters with fewer than k funded approvals.  Voter sets are the bitsets of the
 compiled election (`core.compile_election`), one per project giving its
 approvers.  under[k] is built from the funded projects' masks alone, with no
 walk over the ballots: starting from reached[0] = everyone, each funded
-project with approvers M sets reached[k] |= reached[k-1] & M for k = depth
-down to 1, so reached[k] ends up holding the voters with at least k funded
-approvals, and under[k] = everyone ^ reached[k].  Costs and the budget are
-the election's integer money.
+project lifts its approvers one level (`core.lift`), so reached[k] ends up
+holding the voters with at least k funded approvals, and under[k] =
+everyone ^ reached[k].  Costs and the budget are the election's integer
+money.
 
 T is grown depth-first, adding projects in instance order, so every set is
 visited at most once.  A branch is cut when
@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import ApprovalProfile, Election, PBInstance, compile_election
+from .core import (ApprovalProfile, Election, PBInstance, compile_election,
+                   lift)
 
 
 @dataclass(frozen=True)
@@ -122,18 +123,13 @@ def find_ejr_violation(instance: PBInstance, profile: ApprovalProfile,
 
 def _levels(election: Election, funded: frozenset, depth: int) -> list[int]:
     """under[k] for k = 0..depth: the voters with fewer than k funded
-    approvals, as a voter bitset.
-
-    reached[k] holds the voters with at least k funded approvals; each
-    funded project's approvers move up one level, from the top level down
-    so that a project counts once per voter.
-    """
+    approvals, as a voter bitset, from the levels reached[k] (see the
+    module docstring)."""
     everyone = (1 << len(election.group_of)) - 1
     reached = [everyone] + [0] * depth
     for pid, mask in zip(election.ids, election.project_masks):
         if pid in funded:
-            for k in range(depth, 0, -1):
-                reached[k] |= reached[k - 1] & mask
+            reached = lift(reached, mask)
     return [everyone ^ voters for voters in reached]
 
 

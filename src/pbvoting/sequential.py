@@ -8,7 +8,7 @@ exact harmonic-score run on the residual budget (`rule_x_pav`).  Equal
 shares here has approval utilities only: 1 for an approved project, 0
 otherwise.
 
-The rules run over the weighted ballot groups of the compiled election
+Equal shares runs over the weighted ballot groups of the compiled election
 (`core.compile_election`), and each project only looks at the groups that
 approve it.  The grouping is exact: voters with identical ballots are
 charged identically in every round, so their budgets stay identical, and a
@@ -70,16 +70,15 @@ afresh, and a project is funded once its fresh key is still the smallest
 stored key.  This funds exactly the project with minimal q, then the cheaper
 one, then the smaller id, as a full scan of all projects would.
 
-`seq_pav` runs on the compiled election's integers: costs and the budget in
-its money units, and harmonic gains scaled by L = lcm(1..K), K the longest
-ballot, as in `exact` (`exact.harmonic_gains`).  A group of w voters with c
-funded approvals adds w * L/(c+1) to a project's gain.  Gains are
-re-scored lazily, by the argument the equal-shares loop uses: counts only
-rise and the gain table does not increase, so the gain a project had when
-last scored bounds its current gain from above.  Each round re-scores only
-the projects whose stored gain reaches the largest stored gain, until every
-project at the top is fresh; those are then exactly the projects of
-largest gain, the tie set a full re-score would give.
+`seq_pav` runs on the compiled election's integers, as `exact` does: money
+in its units, harmonic gains scaled by L, and the funded approvals as voter
+levels, off which a project's gain is read.  Gains are re-scored lazily, by
+the argument the equal-shares loop uses: voters only move up and gain[c]
+falls with c, so the gain a project had when last scored bounds its current
+gain from above.  Each round re-scores only the projects whose stored gain
+reaches the largest stored gain, until every project at the top is fresh;
+those are then exactly the projects of largest gain, the tie set a full
+re-score would give.
 """
 
 from __future__ import annotations
@@ -93,7 +92,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .core import ApprovalProfile, Election, PBInstance, compile_election
+from .core import (ApprovalProfile, Election, PBInstance, compile_election,
+                   lift)
 from .exact import SearchBudget, TieBreakPolicy, harmonic_gains, solve_pav
 
 
@@ -324,11 +324,12 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
     re-scored lazily (see the module docstring).
     """
     e = compile_election(instance, profile)
-    gain = harmonic_gains(max(map(len, e.ballots), default=0))
+    longest = max(map(len, e.ballots), default=0)
+    gain = harmonic_gains(longest)
     rng = (random.Random(tiebreak.seed)
            if tiebreak.variant == "random" else None)
-    counts = [0] * len(e.weights)  # funded approved projects per group
-    worth = [w * gain[0] for w in e.weights]  # what one more gives a group
+    # reached[k]: the voters with at least k funded approvals
+    reached = [(1 << len(e.group_of)) - 1] + [0] * longest
     # each project's gain when last scored, and the round it was scored in;
     # nobody has a funded approval yet, so every voter gains gain[0]
     stored = [gain[0] * mask.bit_count() for mask in e.project_masks]
@@ -343,6 +344,8 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
             return frozenset(e.ids[k] for k in chosen)
         # a stored gain bounds the project's gain from above; re-score the
         # projects at the top until all of them are fresh
+        levels = [(b - a, level) for a, b, level
+                  in zip(gain, gain[1:], reached[1:]) if level]
         while True:
             top = max(stored[k] for k in rest)
             stale = [k for k in rest
@@ -350,7 +353,9 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
             if not stale:
                 break
             for k in stale:
-                stored[k] = sum(map(worth.__getitem__, e.approvers[k]))
+                mask = e.project_masks[k]
+                stored[k] = gain[0] * mask.bit_count() + sum(
+                    s * (mask & level).bit_count() for s, level in levels)
                 scored[k] = len(chosen)
         ties = [k for k in rest if stored[k] == top]
         if rng is not None:
@@ -363,6 +368,4 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
         rest.remove(pick)
         chosen.append(pick)
         left -= e.costs[pick]
-        for g in e.approvers[pick]:
-            counts[g] += 1
-            worth[g] = e.weights[g] * gain[counts[g]]
+        reached = lift(reached, e.project_masks[pick])

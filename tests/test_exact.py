@@ -178,11 +178,24 @@ def test_rp_optimum_of_a_large_election_takes_few_nodes(n_voters, n_projects):
     assert optimum_value("rp", inst, prof, SearchBudget(1000)) == n_voters
 
 
+def test_pav_optimum_of_a_voter_scale_election_is_pinned():
+    # 200 voters and ballots of up to 17 projects, twice the longest that
+    # the property tests draw, so funded approvals reach deep levels
+    inst, prof = gen_euclidean(0, EuclideanConfig(n_voters=200,
+                                                  n_projects=30))
+    assert max(map(len, prof.ballots)) == 17
+    search = _Search(compile_election(inst, prof), "pav", SearchBudget())
+    assert Fraction(search.optimum(), search.scale) == \
+        Fraction(4675511, 9240)
+    assert search.stats.nodes == 11507
+
+
 # Nodes per search.  "optimum" is the optimum-only search of
 # `optimum_value`; the one-pass counts are `select` under lex / worst-sw /
 # worst-rp.  Each count sits next to the one it replaced, which it may not
-# exceed: the optimum search before rp's per-group cap, and the optimum
-# search plus the separate tie search that `select` used to need.
+# exceed: the optimum search before rp's bound counted each uncovered voter
+# at most once, and the optimum search plus the separate tie search that
+# `select` used to need.
 #   (instance, objective): (optimum before, optimum,
 #                           (optimum + ties before), (one pass))
 PINNED_NODES = {
@@ -190,12 +203,12 @@ PINNED_NODES = {
     ("city", "rp"): (661, 19, (1643, 1591, 1643), (979, 927, 979)),
     ("city", "pav"): (114, 114, (227, 227, 227), (121, 121, 121)),
     ("euclidean-desk-1", "sw"): (31, 31, (62, 62, 60), (31, 31, 31)),
-    ("euclidean-desk-1", "rp"): (759, 285, (1908, 1772, 1908),
-                                 (921, 809, 921)),
+    ("euclidean-desk-1", "rp"): (759, 181, (1908, 1772, 1908),
+                                 (687, 575, 687)),
     ("euclidean-desk-1", "pav"): (129, 129, (258, 258, 258), (129, 129, 129)),
     ("euclidean-desk-2", "sw"): (23, 23, (50, 50, 48), (27, 27, 25)),
-    ("euclidean-desk-2", "rp"): (921, 401, (2860, 2330, 2860),
-                                 (1637, 1159, 1637)),
+    ("euclidean-desk-2", "rp"): (921, 119, (2860, 2330, 2860),
+                                 (1401, 917, 1401)),
     ("euclidean-desk-2", "pav"): (57, 57, (114, 114, 114), (57, 57, 57)),
 }
 
@@ -204,18 +217,18 @@ PINNED_NODES = {
 #   (nodes, knapsack prunes, cap prunes, leaves, maximal optima, restarts)
 PINNED_STATS = {
     ("city", "sw"): ((32, 9, 0, 5, 0, 0), (32, 9, 0, 5, 1, 2)),
-    ("city", "rp"): ((19, 0, 8, 2, 0, 0), (979, 22, 1, 377, 78, 1)),
+    ("city", "rp"): ((19, 8, 0, 2, 0, 0), (979, 23, 0, 377, 78, 1)),
     ("city", "pav"): ((114, 23, 9, 5, 0, 0), (121, 22, 10, 7, 2, 2)),
     ("euclidean-desk-1", "sw"): ((31, 13, 0, 3, 0, 0),
                                  (31, 13, 0, 3, 2, 2)),
-    ("euclidean-desk-1", "rp"): ((285, 91, 33, 19, 0, 0),
-                                 (921, 250, 70, 141, 28, 2)),
+    ("euclidean-desk-1", "rp"): ((181, 82, 0, 9, 0, 0),
+                                 (687, 210, 0, 134, 28, 2)),
     ("euclidean-desk-1", "pav"): ((129, 58, 0, 7, 0, 0),
                                   (129, 58, 0, 7, 1, 1)),
     ("euclidean-desk-2", "sw"): ((23, 10, 0, 2, 0, 0),
                                  (27, 10, 0, 4, 3, 1)),
-    ("euclidean-desk-2", "rp"): ((401, 94, 91, 16, 0, 0),
-                                 (1637, 323, 79, 417, 68, 1)),
+    ("euclidean-desk-2", "rp"): ((119, 59, 0, 1, 0, 0),
+                                 (1401, 298, 0, 403, 68, 1)),
     ("euclidean-desk-2", "pav"): ((57, 26, 1, 2, 0, 0),
                                   (57, 26, 1, 2, 1, 2)),
 }

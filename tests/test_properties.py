@@ -1,6 +1,6 @@
 """Property tests for the compiled election, the grouped equal-shares loop,
-grouped sPAV, the bitset EJR search and the integer branch and bound of the
-exact rules.
+sPAV on voter levels, the bitset EJR search and the integer branch and
+bound of the exact rules.
 
 Elections are small and drawn from a small pool of ballots, so duplicate
 ballots and empty ballots are common; both change how voters are grouped.
@@ -27,7 +27,7 @@ from pbvoting.core import (ApprovalProfile, PBInstance, Project,
 from pbvoting.exact import (SearchBudget, TieBreakPolicy, _Search,
                             harmonic_gains, optimum_value, solve_av, solve_cc,
                             solve_pav)
-from pbvoting.datagen import gen_party_list
+from pbvoting.datagen import EuclideanConfig, gen_euclidean, gen_party_list
 from pbvoting.fairness import (_levels, find_ejr_violation, is_cohesive,
                                max_t_cap)
 from pbvoting.sequential import (EqualSharesTrace, NoVotersError, rule_x,
@@ -232,7 +232,7 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
             [(score(prof, chosen | {pid}) - now, inst.cost(pid))
              for pid in rest if inst.cost(pid) <= money], money)
         assert best * unit <= bound <= relaxation * unit, objective
-        if objective == "sw":  # rp and pav may cap the relaxation per group
+        if objective == "sw":  # rp discounts overlaps, and pav is capped
             assert bound == math.floor(relaxation)
         if objective == "rp":  # no more than every reachable voter covered
             reachable = [ballot for ballot in prof.ballots
@@ -250,8 +250,13 @@ def _funded_counts(search, election):
 
 
 def _recounted_bound(search, election, idx, residual):
-    """(floored knapsack, per-group cap) of a node, counted from scratch
-    with gain tables of its own."""
+    """(floored knapsack, cap) of a node, counted from scratch over the
+    ballot groups, with gain tables of its own.
+
+    rp's knapsack counts each uncovered group once, for the first live
+    project in density order that it approves, at that share of the
+    project's cost; it has no cap and repeats the knapsack in its place.
+    """
     longest = max(map(len, election.ballots), default=0)
     gain = {"sw": [1] * (longest + 1), "rp": [1] + [0] * longest,
             "pav": harmonic_gains(longest)}[search.objective]
@@ -268,6 +273,19 @@ def _recounted_bound(search, election, idx, residual):
     gains = [(sum(weights[g] * gain[counts[g]]
                   for g in election.approvers[number[search.ids[j]]]),
               search.costs[j]) for j in live]
+    if search.objective == "rp":
+        approving = [set(election.approvers[number[search.ids[j]]])
+                     for j in live]
+        left = {g for g, c in enumerate(counts) if not c}
+        shares = []
+        for (v, cost), groups in sorted(zip(gains, approving),
+                                        key=lambda item: -Fraction(*item[0])):
+            new = sum(weights[g] for g in groups & left)
+            left -= groups
+            if new:
+                shares.append((new, Fraction(cost * new, v)))
+        knapsack = math.floor(score + _knapsack_relaxation(shares, residual))
+        return knapsack, knapsack
     knapsack = math.floor(score + _knapsack_relaxation(gains, residual))
     cap = score + sum(w * (harm[c + a] - harm[c])
                       for w, c, a in zip(weights, counts, avail))
@@ -295,9 +313,9 @@ class _CheckedSearch(_Search):
         expected_knapsack, expected_cap = _recounted_bound(
             self, self.election, idx, residual)
         assert knapsack == expected_knapsack
-        # sw has no cap of its own, and its per-group sum never undercuts
-        # the knapsack bound
-        assert cap == (knapsack if self.objective == "sw" else expected_cap)
+        # only pav has a cap; sw and rp repeat their knapsack bound in its
+        # place
+        assert cap == (knapsack if self.objective != "pav" else expected_cap)
         assert min(knapsack, cap) == min(expected_knapsack, expected_cap)
         return knapsack, cap
 
@@ -315,9 +333,10 @@ def _assert_kept_bounds_are_exact(inst, prof):
 @settings(max_examples=60)
 @given(mixed_unit_elections())
 def test_kept_bound_equals_a_recount_at_every_node(election):
-    # the covered-voter bitset and the pav ceiling are kept across funding,
-    # passing, pricing out and undoing; every node of every search must see
-    # the sw, rp and bound that a recount from the decided projects gives
+    # the levels of funded and of funded-or-live approvals are kept across
+    # funding, passing, pricing out and undoing; every node of every search
+    # must see the sw, rp and bound that a recount from the decided projects
+    # gives
     _assert_kept_bounds_are_exact(*election)
 
 
@@ -400,6 +419,15 @@ def test_seq_pav_matches_the_fraction_oracle(election, reverse):
     # worst-sw and worst-rp have no tie set to minimize over
     for policy in (TieBreakPolicy.worst_sw(), TieBreakPolicy.worst_rp()):
         assert seq_pav(inst, prof, policy) == seq_pav(inst, prof)
+
+
+def test_seq_pav_matches_the_fraction_oracle_at_voter_scale():
+    # 200 voters and ballots of up to 19 projects, longer than the
+    # strategies above draw, so funded approvals reach deep levels
+    election = gen_euclidean(3, EuclideanConfig(n_voters=200, n_projects=30))
+    assert max(map(len, election[1].ballots)) == 19
+    test_seq_pav_matches_the_fraction_oracle.hypothesis.inner_test(
+        election, False)
 
 
 # sPAV's gains diminish on the elections of `random_instance`, where it
