@@ -1,8 +1,8 @@
 """Exact optimizers for the welfare, coverage and harmonic-score rules.
 
 All three rules are solved by the same depth-first branch-and-bound over
-include/exclude decisions in a fixed project order, with an admissible
-fractional-knapsack bound on the residual budget.  The search reads the
+include/exclude decisions in a fixed project order, with one admissible
+bound on the residual budget, the piece knapsack.  The search reads the
 compiled election (`core.compile_election`): duplicate ballots are weighted
 groups, which makes block-structured instances (all voters of a district
 voting alike) cheap to solve.
@@ -18,29 +18,45 @@ search that finds the optimum, streaming over the set without storing it.
 The search runs on integers only.  Costs and the budget are the compiled
 election's, multiplied by D, the least common multiple of their denominators
 (D = 100 for cent-valued data).  Harmonic scores are multiplied by
-L = lcm(1..K), where K is the longest ballot: a voter with c funded
-approvals gains gain[c] = L // (c+1) from one more.
+L = lcm(1..K), where K is the longest ballot.
 `optimum_value("pav")` divides by L again, so values and bundles at the API
 are the exact ones.
 
-Because every objective is then an integer, the floor of the
-fractional-knapsack bound is still an upper bound on every completion of a
-branch: the partly taken item contributes v*r // c.  Knapsack items are
-ordered by exact density (v times lcm(costs)/c, an integer); a rounded order
-could take a worse item first and make the bound inadmissible.
+Each objective is a gain vector, gain[k] being what one more funded
+approval adds to a voter with k: all 1 for sw, 1 then 0 for rp, and
+L // (k+1) for pav.  The bound of a node is its score plus the fractional
+knapsack of *pieces*, floored once.  Walk the live projects (undecided,
+still affordable) by ascending share c_j / v_j, v_j counting j's approvers
+who can still gain: every approver for sw and pav, so that the walk is the
+fixed order, and the uncovered ones for rp, which re-sorts at each node.
+Walking j lifts its approvers one level in a copy of the funded levels;
+those it finds at level k are one piece, worth gain[k] and costing c_j / v_j
+each.  The fill takes the pieces by density gain[k] * v_j / c_j.
 
-rp's knapsack discounts overlaps: in density order v/c, v a live project's
-uncovered approvers, each project counts only the `new` of them that no
-earlier one counted, at cost c*new/v.  That is at most the plain knapsack
-and the union bound, and it is admissible: for any l >= 0, an affordable
-set of live projects covers at most l*residual + sum over voters of
-max(0, 1 - l*c/v), c/v that of the first project reaching the voter, as
-each project's cost spread over its v voters charges a covered one at least
-that.  The walk is this sum (a Lagrangian bound) at l = the density where
-the money runs out.  pav's knapsack is also capped: a voter with t funded
-or live (undecided, affordable) approvals reaches at most
-gain[0] + ... + gain[t-1].  A node is pruned when either bound is below the
-cut.
+The bound is admissible.  Charge each project's cost to its v_j approvers
+in equal shares.  For any l >= 0, a completion S that fits in the residual
+scores at most score + l * residual + the sum, over each voter and each
+project of S that they approve, of (gain - l * share).  Pair the t-th gain
+that S brings a voter with the t-th smallest of those shares: it is at
+least the share of the t-th live project that the voter meets in the walk,
+whose piece holds the voter at the same level.  So S scores at most
+score + l * residual + the sum over the pieces of max(0, value - l * cost),
+the Lagrangian relaxation of the budget (Fisher, Management Science 1981),
+whose least value over l is the fractional knapsack of the pieces, by LP
+duality (Dantzig, Operations Research 1957).  At l = 0 it sums each voter's
+gains over their live approvals, so the bound never exceeds that.  With
+gains all 1 it is the plain knapsack over approval counts, and with 1, 0 it
+counts each uncovered voter once, for the first walked project reaching it.
+
+The fill is exact.  Densities gain[k] * v_j * (lcm(costs) / c_j) are
+integers; a rounded order could take a worse piece first and make the bound
+inadmissible.  Money is in units of 1 / denom, multiplied by v_j where a
+piece holds only some of j's approvers, so that its cost is whole, and the
+partly taken piece adds value * r // cost.  Every objective is an integer,
+so the floor still bounds every completion.  As gains never rise, no piece
+of a later project is denser than the walked one's at level 0: the fill
+takes pieces as the walk makes them, only pav's deeper ones wait in a heap,
+and the walk stops where the money runs out.
 
 `optimum_value` prunes a branch when floor(bound) <= best, which cuts more
 than the unfloored test.  A `solve_*` call makes one pass that finds the
@@ -49,28 +65,22 @@ floor(bound) < incumbent, the best leaf score so far, which for an integer
 incumbent holds exactly when bound < incumbent.  The incumbent never exceeds
 the optimum and the bound is admissible, so every maximal optimum is
 visited, in the same depth-first order as by a search that knew the optimum
-and pruned at floor(bound) < opt.  Maximal leaves that tie the incumbent feed
-the policy's running pick, and a strictly better leaf restarts it.  For
-random the restart re-seeds the generator, so the reservoir draws run over
-the maximal optima alone, in that order and from the policy's seed: the
-pick does not depend on the leaves seen before the optimum.  The
-worst-sw/worst-rp cut on the secondary score fires only where
+and pruned at floor(bound) < opt.  That holds for any admissible bound, so
+a tighter one changes the node counts and never a pick.  Maximal leaves that
+tie the incumbent feed the policy's running pick, and a strictly better
+leaf restarts it.  For random the restart re-seeds the generator, so the
+reservoir draws run over the maximal optima alone, in that order and from
+the policy's seed: the pick does not depend on the leaves seen before the
+optimum.  The worst-sw/worst-rp cut on the secondary score fires only where
 floor(bound) <= incumbent: a branch that may still beat the incumbent can
-hold the optimum, whatever its secondary score.
+hold the optimum, whatever its secondary score.  The bound is at least the
+score, so a node whose score reaches the cut is not bounded.
 
-A bound is one pass over the live projects, and no search keeps state per
-voter group.  The funded approvals are voter bitsets in levels: reached[k]
-holds the voters with at least k, reached[0] every voter.  Funding a
-project lifts its approvers one level (`core.lift`), and the undo stack
-keeps the levels from before.  sw and rp, the worst-sw and worst-rp keys,
-read reached[1] alone: sw adds each funded project's approval count, and rp
-is popcount(reached[1]).  pav keeps the levels up to the longest ballot.
-Its score is sum_k gain[k-1] * |reached[k]|, a live project with approvers
-M gains gain[0] * |M| + sum_k (gain[k] - gain[k-1]) * |M & reached[k]|, which
-the bound works out once between fundings, and the cap is
-sum_k gain[k-1] * |total[k]|, total[k] holding the voters with at least k
-funded or live approvals.  Passing or pricing out a project moves its
-approvers down one level of total, and funding one leaves it as it is.
+No search keeps state per voter group.  sw and rp keep the funded
+approvals as one bitset, the voters with at least one, and pav as levels,
+funded[k] holding the voters with at least k (`core.lift`), its score being
+sum_k gain[k-1] * |funded[k]|.  The undo stack keeps them before each
+funding.
 """
 
 from __future__ import annotations
@@ -79,6 +89,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import mul
 from typing import Callable, Optional
 
@@ -137,16 +148,15 @@ class SearchBudget:
 class SearchStats:
     """What one `_Search` did; every count is deterministic for its input.
 
-    `cap_prunes` counts the prunes where the knapsack bound reached the cut
-    and only pav's cap fell below it.  `optima` counts the maximal
-    leaves of `select` that tie its final incumbent: the whole tie set, up
-    to symmetry breaking, except where the worst-sw/worst-rp cut skips some.
-    `restarts` counts the leaves of `select` that beat its incumbent and so
-    restarted the pick.  `optimum` looks for neither and leaves both 0.
+    `knapsack_prunes` counts the branches whose bound fell below the cut.
+    `optima` counts the maximal leaves of `select` that tie its final
+    incumbent: the whole tie set, up to symmetry breaking, except where the
+    worst-sw/worst-rp cut skips some.  `restarts` counts the leaves of
+    `select` that beat its incumbent and so restarted the pick.  `optimum`
+    looks for neither and leaves both 0.
     """
     nodes: int = 0
     knapsack_prunes: int = 0
-    cap_prunes: int = 0
     leaves: int = 0
     optima: int = 0
     restarts: int = 0
@@ -204,27 +214,28 @@ class _Search:
             self.prev_in_class[j] = last_seen.get(election.twins[k])
             last_seen[election.twins[k]] = j
 
+        # gain[k]: what one more funded approval adds to a voter with k (the
+        # last entry: with k or more); pav in units of 1/L
+        depth = max(max(map(len, election.ballots), default=0), 1)
+        self.gain = {"sw": [1], "rp": [1, 0],
+                     "pav": harmonic_gains(depth)}[objective]
+        self.scale = self.gain[0]
+        self.everyone = (1 << len(election.group_of)) - 1
+        # sw's and pav's walk, (density, j, v = static) in the fixed order,
+        # which ends on the projects without approvers, and then a stop
+        self.walk = [(v * k, j, v) for j, (v, k) in enumerate(zip(
+            self.static, self.density_scale))] + [(0, None, 0)]
+
         # mutable search state
         self.chosen = [False] * self.m
         self.score = 0
         self.sw = 0
         self.rp = 0
-        # reached[k]: the voters with at least k funded approvals
-        longest = max(map(len, election.ballots), default=0)
-        depth = max(longest, 1) if objective == "pav" else 1
-        everyone = (1 << len(election.group_of)) - 1
-        self.reached = [everyone] + [0] * depth
-        self.saved: list[tuple] = []  # (reached, rp, score, gains) per funding
-        self.gains: dict[int, int] = {}  # pav: project gains off reached
-        if objective == "pav":
-            # gain[c]: what one more funded approval adds to a voter with c
-            self.gain = harmonic_gains(longest)
-            self.scale = self.gain[0]
-            # total[k]: the voters with at least k funded or live approvals
-            self.total = [everyone] + [0] * depth
-            for j in range(self.m):
-                if self.costs[j] <= self.budget:
-                    self.total = lift(self.total, self.masks[j])
+        # the funded approvals: for sw and rp the voters with one, for pav
+        # the levels, funded[k] holding the voters with at least k
+        self.funded = ([self.everyone] + [0] * depth if objective == "pav"
+                       else 0)
+        self.saved: list = []  # `funded` before each funding
 
     # -- state -------------------------------------------------------------
 
@@ -237,111 +248,91 @@ class _Search:
 
     def _fund(self, j: int, residual: int, sign: int) -> int:
         """Fund live project j out of `residual` (sign 1), or take it back
-        (sign -1, with the same residual).  Returns residual - cost of j.
-
-        For pav, the projects that the smaller residual prices out stop
-        being live.
-        """
+        (sign -1, with the same residual).  Returns residual - cost of j."""
         self.chosen[j] = sign > 0
         self.sw += sign * self.static[j]
+        pav = self.objective == "pav"
         if sign > 0:
-            self.saved.append((self.reached, self.rp, self.score, self.gains))
-            reached = self.reached = lift(self.reached, self.masks[j])
-            self.rp = reached[1].bit_count()
-            self.gains = {}
-            self.score = (sum(map(mul, self.gain, map(int.bit_count,
-                                                      reached[1:])))
-                          if self.objective == "pav" else
-                          self.sw if self.objective == "sw" else self.rp)
+            self.saved.append(self.funded)
+            self.funded = (lift(self.funded, self.masks[j]) if pav else
+                           self.funded | self.masks[j])
         else:
-            self.reached, self.rp, self.score, self.gains = self.saved.pop()
-        rest = residual - self.costs[j]
+            self.funded = self.saved.pop()
+        self.rp = (self.funded[1] if pav else self.funded).bit_count()
+        self.score = (sum(map(mul, self.gain, map(int.bit_count,
+                                                  self.funded[1:])))
+                      if pav else self.sw if self.objective == "sw" else
+                      self.rp)
+        return residual - self.costs[j]
+
+    def _bound(self, idx: int, residual: int) -> int:
+        """Floor of the piece knapsack over the live projects of node
+        (idx, residual) (see the module docstring)."""
+        costs, masks, gain, funded = (self.costs, self.masks, self.gain,
+                                      self.funded)
+        g0, lifts, deep = gain[0], len(gain) > 1, len(gain) > 2
+        # free: the voters who can gain gain[0] and whom no walked project
+        # reached; levels[k], k >= 2: those with k or more funded or walked
         if self.objective == "pav":
-            for k in range(j + 1, self.m):
-                if rest < self.costs[k] <= residual:
-                    self._drop(k, sign)
-        return rest
-
-    def _drop(self, j: int, sign: int):
-        """Live project j stops being live (sign 1), passed over or priced
-        out, or becomes live again (sign -1).  Only pav keeps state for it:
-        its approvers move down one level of `total`, or back up.
-        """
-        if self.objective != "pav":
-            return
-        total, mask = self.total, self.masks[j]
-        # down: level k takes them from level k + 1; all are on level 1
-        self.total = (lift(total, mask) if sign < 0 else
-                      [below & ~mask | level & mask
-                       for below, level in zip(total, total[1:] + [0])])
-
-    def _bound(self, idx: int, residual: int) -> tuple[int, int]:
-        """(floor of the fractional-knapsack bound, cap) over the live
-        projects of node (idx, residual).
-
-        Only pav has a cap; sw and rp repeat their bound in its place.
-        """
-        costs, masks, scale = self.costs, self.masks, self.density_scale
-        static, bound, r = self.static, self.score, residual
-        if self.objective == "sw":
-            # values are static, and the project order is by static density
-            for j in range(idx, self.m):
-                c = costs[j]
-                if c > residual:
-                    continue
-                if c > r:
-                    bound += static[j] * r // c
-                    break
-                bound += static[j]
-                r -= c
-            return bound, bound
-        if self.objective == "rp":
-            free = ~self.reached[1]
-            items = []
+            free, levels = self.everyone ^ funded[1], funded[:]
+        else:
+            free = self.everyone ^ funded if lifts else self.everyone
+        if self.objective == "rp":  # covered approvers change the order
+            scale, walk = self.density_scale, []
             for j in range(idx, self.m):
                 if costs[j] <= residual:
                     v = (masks[j] & free).bit_count()
                     if v:
-                        items.append((v * scale[j], j, v))
-            items.sort(reverse=True)
-            # the overlap-discounted knapsack (see the module docstring), in
-            # money units of 1/denom, so that each share c*new/v is whole
-            denom = 1
-            for _, j, v in items:
-                new = (masks[j] & free).bit_count()
-                if not new:
-                    continue
-                free &= ~masks[j]
-                if new < v:
+                        walk.append((v * scale[j], j, v))
+            walk.sort(reverse=True)
+            walk.append((0, None, 0))
+        else:
+            walk = self.walk[idx:]
+        bound, r, denom = self.score, residual, 1  # money in units of 1/denom
+        pending: list[tuple] = []  # pieces above level 0, densest first
+        for density, j, v in walk:
+            # no later piece is denser than j's first, g0 * density
+            while pending and -pending[0][0] >= g0 * density:
+                _, value, c, count, w = heappop(pending)
+                if count < w:
+                    denom, r = denom * w, r * w
+                money = c * count * denom // w
+                if money > r:
+                    return bound + value * r // money
+                bound += value
+                r -= money
+            if not v:  # the walk's end
+                return bound
+            c = costs[j]
+            if c > residual:
+                continue
+            # j's approvers at walk level k form a piece, worth gain[k] and
+            # costing j's share c / v each
+            if lifts:
+                m = masks[j] & free
+                free ^= m
+                count = m.bit_count()
+                if 0 < count < v:
                     denom, r = denom * v, r * v
-                cost = costs[j] * new * denom // v
-                if cost > r:
-                    bound += r * v // (costs[j] * denom)
-                    break
-                bound += new
-                r -= cost
-            return bound, bound
-        # pav: each live project's gain off the levels, once per funding
-        gain, items, gains, steps = self.gain, [], self.gains, None
-        for j in range(idx, self.m):
-            if costs[j] <= residual:
-                if j not in gains:
-                    if steps is None:  # the levels that hold a voter
-                        steps = [(b - a, level) for a, b, level in zip(
-                            gain, gain[1:], self.reached[1:]) if level]
-                    v = gain[0] * static[j]
-                    for step, level in steps:
-                        v += step * (masks[j] & level).bit_count()
-                    gains[j] = v
-                items.append((gains[j] * scale[j], gains[j], costs[j]))
-        items.sort(reverse=True)
-        for _, v, c in items:
-            if c > r:
-                bound += v * r // c
-                break
-            bound += v
-            r -= c
-        return bound, sum(map(mul, gain, map(int.bit_count, self.total[1:])))
+                money = c * count * denom // v
+            else:
+                count, money = v, c * denom
+            if money > r:
+                return bound + g0 * count * r // money
+            bound += g0 * count
+            r -= money
+            if deep:
+                up, k = masks[j] ^ m, 1
+                while up:
+                    m = up
+                    up = m & levels[k + 1]
+                    levels[k + 1] |= m
+                    if m != up:
+                        count = (m ^ up).bit_count()
+                        heappush(pending, (-gain[k] * density,
+                                           gain[k] * count, c, count, v))
+                    k += 1
+        return bound
 
     def _is_maximal(self, residual: int) -> bool:
         for j in range(self.m):
@@ -430,21 +421,16 @@ class _Search:
             leaf(residual)
             return
         c = cut()
-        knapsack, cap = self._bound(idx, residual)
-        if knapsack < c:
+        # the bound is at least the score, so it can prune only below c
+        if self.score < c and self._bound(idx, residual) < c:
             self.stats.knapsack_prunes += 1
-            return
-        if cap < c:
-            self.stats.cap_prunes += 1
             return
         prev = self.prev_in_class[idx]
         if prev is None or self.chosen[prev]:
             rest = self._fund(idx, residual, 1)
             self._dfs(idx + 1, rest, leaf, cut)
             self._fund(idx, residual, -1)
-        self._drop(idx, 1)
         self._dfs(idx + 1, residual, leaf, cut)
-        self._drop(idx, -1)
 
 
 def solve_av(instance: PBInstance, profile: ApprovalProfile,

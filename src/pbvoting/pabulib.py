@@ -38,8 +38,7 @@ vote count.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .core import ApprovalProfile, PBInstance, Project
 
@@ -75,33 +74,43 @@ def _count(text: str, key: str, line: int) -> int:
             line, f"{key} must be an integer, got {text!r}") from None
 
 
-def _split_sections(text: str) -> dict[str, tuple[int, list[tuple[int, str]]]]:
-    sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
-    current: Optional[str] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line in ("META", "PROJECTS", "VOTES"):
-            if line in sections:
-                raise PabulibParseError(lineno, f"duplicate section {line}")
-            sections[line] = (lineno, [])
-            current = line
-            continue
-        if not line or line.isspace():
-            continue
-        if current is None:
+# A section: its header's line number, its rows' line numbers and its rows
+_Section = tuple[int, Sequence[int], Sequence[str]]
+
+
+def _split_sections(text: str) -> dict[str, _Section]:
+    lines = text.splitlines()
+    starts = {name: lines.index(name) for name in ("META", "PROJECTS", "VOTES")
+              if name in lines}
+    for lineno, line in enumerate(lines[:min(starts.values(), default=None)],
+                                  start=1):
+        if line.strip():
             raise PabulibParseError(lineno, "content before any section header")
-        sections[current][1].append((lineno, line))
+    twice = sorted((lines.index(name, start + 1), name)
+                   for name, start in starts.items() if lines.count(name) > 1)
+    if twice:  # the first repeated header
+        index, name = twice[0]
+        raise PabulibParseError(index + 1, f"duplicate section {name}")
     for name in ("META", "PROJECTS", "VOTES"):
-        if name not in sections:
+        if name not in starts:
             raise PabulibParseError(None, f"missing section {name}")
+    sections = {}
+    for name, start in starts.items():
+        end = min((s for s in starts.values() if s > start),
+                  default=len(lines))
+        linenos, rows = range(start + 2, end + 1), lines[start + 1:end]
+        if not all(map(str.strip, rows)):  # drop the blank lines
+            kept = [i for i, row in enumerate(rows) if row.strip()]
+            linenos, rows = [linenos[i] for i in kept], [rows[i] for i in kept]
+        sections[name] = (start + 1, linenos, rows)
     return sections
 
 
-def _header(rows: list[tuple[int, str]], section: str
-            ) -> tuple[int, tuple[str, ...]]:
+def _header(section: _Section, name: str) -> tuple[int, tuple[str, ...]]:
+    _, linenos, rows = section
     if not rows:
-        raise PabulibParseError(None, f"section {section} has no header row")
-    header_line, header = rows[0]
-    return header_line, tuple(h.strip() for h in header.split(";"))
+        raise PabulibParseError(None, f"section {name} has no header row")
+    return linenos[0], tuple(h.strip() for h in rows[0].split(";"))
 
 
 def _width_error(section: str, lineno: int, cells: int, header_line: int,
@@ -111,29 +120,30 @@ def _width_error(section: str, lineno: int, cells: int, header_line: int,
         f"header (line {header_line}) has {len(columns)}")
 
 
-def _parse_table(rows: list[tuple[int, str]], section: str
+def _parse_table(section: _Section, name: str
                  ) -> tuple[tuple[str, ...], list[tuple[int, tuple[str, ...]]]]:
-    header_line, columns = _header(rows, section)
+    header_line, columns = _header(section, name)
+    _, linenos, rows = section
     data = []
-    for lineno, line in rows[1:]:
+    for lineno, line in zip(linenos[1:], rows[1:]):
         cells = tuple(c.strip() for c in line.split(";"))
         if len(cells) != len(columns):
-            raise _width_error(section, lineno, len(cells), header_line,
+            raise _width_error(name, lineno, len(cells), header_line,
                                columns)
         data.append((lineno, cells))
     return columns, data
 
 
-def _parse_votes(rows: list[tuple[int, str]], known: frozenset[str]
+def _parse_votes(section: _Section, known: frozenset[str]
                  ) -> list[frozenset[str]]:
     """The ballots of the VOTES rows, checked as `_parse_table` checks a
     table, and then for their columns and project ids, in that order.
     `known` holds the non-empty project ids."""
-    header_line, columns = _header(rows, "VOTES")
-    rows = rows[1:]
-    split = [line.split(";") for _, line in rows]
+    header_line, columns = _header(section, "VOTES")
+    linenos, rows = section[1][1:], section[2][1:]
+    split = [line.split(";") for line in rows]
     if any(map(len(columns).__ne__, map(len, split))):
-        for (lineno, _), cells in zip(rows, split):
+        for lineno, cells in zip(linenos, split):
             if len(cells) != len(columns):
                 raise _width_error("VOTES", lineno, len(cells), header_line,
                                    columns)
@@ -144,9 +154,9 @@ def _parse_votes(rows: list[tuple[int, str]], known: frozenset[str]
     vote_col = columns.index("vote")
     cells = [row[vote_col] for row in split]
     votes = {cell: frozenset(cell.split(",")) for cell in set(cells)}
-    if not known.issuperset(chain.from_iterable(votes.values())):
+    if not known.issuperset(frozenset().union(*votes.values())):
         # in row order, so that the first unknown id is the one reported
-        for (lineno, _), cell in zip(rows, cells):
+        for lineno, cell in zip(linenos, cells):
             if votes[cell] <= known:
                 continue
             ids = cell.split(",")
@@ -165,7 +175,8 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
 
     meta: dict[str, str] = {}
     meta_line: dict[str, int] = {}
-    for lineno, line in sections["META"][1]:
+    _, linenos, rows = sections["META"]
+    for lineno, line in zip(linenos, rows):
         parts = line.split(";")
         if len(parts) != 2:
             raise PabulibParseError(lineno, f"META row needs key;value, got {line!r}")
@@ -192,7 +203,7 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
     num_projects, num_votes = (_count(meta[key], key, meta_line[key])
                                for key in ("num_projects", "num_votes"))
 
-    pcols, prows = _parse_table(sections["PROJECTS"][1], "PROJECTS")
+    pcols, prows = _parse_table(sections["PROJECTS"], "PROJECTS")
     for needed in ("project_id", "cost"):
         if needed not in pcols:
             raise PabulibParseError(None, f"PROJECTS is missing column {needed!r}")
@@ -217,7 +228,7 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
             f"PROJECTS has {len(projects)} rows")
 
     # a vote never names the empty id: its empty ids are dropped
-    ballots = _parse_votes(sections["VOTES"][1], frozenset(known - {""}))
+    ballots = _parse_votes(sections["VOTES"], frozenset(known - {""}))
     if num_votes != len(ballots):
         raise PabulibParseError(
             None, f"num_votes={meta['num_votes']} but VOTES has "

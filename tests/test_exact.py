@@ -77,7 +77,7 @@ def test_random_tiebreak_is_deterministic(city_pair):
 
 
 def test_search_budget_exceeded(city_pair):
-    # on city, solve_pav takes 121 nodes, solve_av 32 and the rp optimum 19
+    # on city, solve_pav takes 41 nodes, solve_av 32 and the rp optimum 19
     inst, prof = city_pair
     with pytest.raises(SearchBudgetExceeded, match=(
             r"^exceeded search budget of 3 nodes "
@@ -187,50 +187,61 @@ def test_pav_optimum_of_a_voter_scale_election_is_pinned():
     search = _Search(compile_election(inst, prof), "pav", SearchBudget())
     assert Fraction(search.optimum(), search.scale) == \
         Fraction(4675511, 9240)
-    assert search.stats.nodes == 11507
+    assert search.stats.nodes == 99  # 11,507 under the per-voter cap
+
+
+def test_pav_at_a_thousand_voters_takes_few_nodes():
+    # the per-voter cap and the marginal-gain knapsack took 262,243 nodes
+    # to find this optimum; the piece knapsack reads 2,619 at the root
+    # against an optimum of 2,595
+    election = compile_election(*gen_euclidean(0, EuclideanConfig(
+        n_voters=1000, n_projects=40)))
+    search = _Search(election, "pav", SearchBudget(1000))
+    assert Fraction(search.optimum(), search.scale) == \
+        Fraction(103911217, 40040)
+    assert search.stats.nodes == 421
+    search = _Search(election, "pav", SearchBudget(1000))
+    search.select(TieBreakPolicy.lex())
+    assert search.stats.nodes == 421
 
 
 # Nodes per search.  "optimum" is the optimum-only search of
 # `optimum_value`; the one-pass counts are `select` under lex / worst-sw /
 # worst-rp.  Each count sits next to the one it replaced, which it may not
 # exceed: the optimum search before rp's bound counted each uncovered voter
-# at most once, and the optimum search plus the separate tie search that
-# `select` used to need.
+# at most once, and before pav's bound was the piece knapsack, and the
+# optimum search plus the separate tie search that `select` used to need.
 #   (instance, objective): (optimum before, optimum,
 #                           (optimum + ties before), (one pass))
 PINNED_NODES = {
     ("city", "sw"): (32, 32, (62, 62, 62), (32, 32, 32)),
     ("city", "rp"): (661, 19, (1643, 1591, 1643), (979, 927, 979)),
-    ("city", "pav"): (114, 114, (227, 227, 227), (121, 121, 121)),
+    ("city", "pav"): (114, 32, (227, 227, 227), (41, 41, 41)),
     ("euclidean-desk-1", "sw"): (31, 31, (62, 62, 60), (31, 31, 31)),
     ("euclidean-desk-1", "rp"): (759, 181, (1908, 1772, 1908),
                                  (687, 575, 687)),
-    ("euclidean-desk-1", "pav"): (129, 129, (258, 258, 258), (129, 129, 129)),
+    ("euclidean-desk-1", "pav"): (129, 37, (258, 258, 258), (37, 37, 37)),
     ("euclidean-desk-2", "sw"): (23, 23, (50, 50, 48), (27, 27, 25)),
     ("euclidean-desk-2", "rp"): (921, 119, (2860, 2330, 2860),
                                  (1401, 917, 1401)),
-    ("euclidean-desk-2", "pav"): (57, 57, (114, 114, 114), (57, 57, 57)),
+    ("euclidean-desk-2", "pav"): (57, 27, (114, 114, 114), (27, 27, 27)),
 }
 
 
 # SearchStats of the optimum search and of the lex one pass:
-#   (nodes, knapsack prunes, cap prunes, leaves, maximal optima, restarts)
+#   (nodes, knapsack prunes, leaves, maximal optima, restarts)
 PINNED_STATS = {
-    ("city", "sw"): ((32, 9, 0, 5, 0, 0), (32, 9, 0, 5, 1, 2)),
-    ("city", "rp"): ((19, 8, 0, 2, 0, 0), (979, 23, 0, 377, 78, 1)),
-    ("city", "pav"): ((114, 23, 9, 5, 0, 0), (121, 22, 10, 7, 2, 2)),
-    ("euclidean-desk-1", "sw"): ((31, 13, 0, 3, 0, 0),
-                                 (31, 13, 0, 3, 2, 2)),
-    ("euclidean-desk-1", "rp"): ((181, 82, 0, 9, 0, 0),
-                                 (687, 210, 0, 134, 28, 2)),
-    ("euclidean-desk-1", "pav"): ((129, 58, 0, 7, 0, 0),
-                                  (129, 58, 0, 7, 1, 1)),
-    ("euclidean-desk-2", "sw"): ((23, 10, 0, 2, 0, 0),
-                                 (27, 10, 0, 4, 3, 1)),
-    ("euclidean-desk-2", "rp"): ((119, 59, 0, 1, 0, 0),
-                                 (1401, 298, 0, 403, 68, 1)),
-    ("euclidean-desk-2", "pav"): ((57, 26, 1, 2, 0, 0),
-                                  (57, 26, 1, 2, 1, 2)),
+    ("city", "sw"): ((32, 9, 5, 0, 0), (32, 9, 5, 1, 2)),
+    ("city", "rp"): ((19, 8, 2, 0, 0), (979, 23, 377, 78, 1)),
+    ("city", "pav"): ((32, 10, 3, 0, 0), (41, 10, 5, 2, 2)),
+    ("euclidean-desk-1", "sw"): ((31, 13, 3, 0, 0), (31, 13, 3, 2, 2)),
+    ("euclidean-desk-1", "rp"): ((181, 82, 9, 0, 0),
+                                 (687, 210, 134, 28, 2)),
+    ("euclidean-desk-1", "pav"): ((37, 15, 4, 0, 0), (37, 15, 4, 1, 1)),
+    ("euclidean-desk-2", "sw"): ((23, 10, 2, 0, 0), (27, 10, 4, 3, 1)),
+    ("euclidean-desk-2", "rp"): ((119, 59, 1, 0, 0),
+                                 (1401, 298, 403, 68, 1)),
+    ("euclidean-desk-2", "pav"): ((27, 11, 3, 0, 0), (27, 11, 3, 1, 2)),
 }
 
 

@@ -27,7 +27,8 @@ from pbvoting.core import (ApprovalProfile, PBInstance, Project,
 from pbvoting.exact import (SearchBudget, TieBreakPolicy, _Search,
                             harmonic_gains, optimum_value, solve_av, solve_cc,
                             solve_pav)
-from pbvoting.datagen import EuclideanConfig, gen_euclidean, gen_party_list
+from pbvoting.datagen import (EuclideanConfig, gen_euclidean, gen_party_list,
+                              generate)
 from pbvoting.fairness import (_levels, find_ejr_violation, is_cohesive,
                                max_t_cap)
 from pbvoting.sequential import (EqualSharesTrace, NoVotersError, rule_x,
@@ -202,8 +203,9 @@ def _knapsack_relaxation(items, budget):
 def test_search_bound_lies_between_best_completion_and_relaxation(
         election, data):
     # the bound of a partial bundle, against brute force over the affordable
-    # sets of undecided projects and against the fractional knapsack on
-    # their marginal gains, both in exact Fractions
+    # sets of undecided projects, against the fractional knapsack on their
+    # marginal gains and, for pav, against each voter's gains over their
+    # affordable undecided approvals, all in exact Fractions
     inst, prof = election
     for objective, score in (("sw", social_welfare), ("rp", representation),
                              ("pav", pav_score)):
@@ -212,13 +214,10 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
         unit = search.scale if objective == "pav" else 1
         idx = data.draw(st.integers(0, search.m))
         residual = search.budget
-        for j in range(idx):  # decide projects as `_dfs` does
-            if search.costs[j] <= residual:
-                if data.draw(st.booleans()):
-                    residual = search._fund(j, residual, 1)
-                else:
-                    search._drop(j, 1)
-        bound = min(search._bound(idx, residual))
+        for j in range(idx):  # fund or pass each project, as `_dfs` does
+            if search.costs[j] <= residual and data.draw(st.booleans()):
+                residual = search._fund(j, residual, 1)
+        bound = search._bound(idx, residual)
 
         chosen = {search.ids[j] for j in range(idx) if search.chosen[j]}
         money = inst.budget - inst.cost_of(chosen)
@@ -231,15 +230,24 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
         relaxation = now + _knapsack_relaxation(
             [(score(prof, chosen | {pid}) - now, inst.cost(pid))
              for pid in rest if inst.cost(pid) <= money], money)
-        assert best * unit <= bound <= relaxation * unit, objective
-        if objective == "sw":  # rp discounts overlaps, and pav is capped
+        assert best * unit <= bound, objective
+        if objective == "sw":  # every piece of a project has its density
             assert bound == math.floor(relaxation)
-        if objective == "rp":  # no more than every reachable voter covered
+        if objective == "rp":  # overlaps are discounted, and no more than
+            # every reachable voter is covered
+            assert bound <= relaxation
             reachable = [ballot for ballot in prof.ballots
                          if not ballot & chosen and any(
                              inst.cost(pid) <= money for pid in ballot
                              if pid in rest)]
             assert bound <= now + len(reachable)
+        if objective == "pav":  # the pieces can sit above the relaxation,
+            # but never above each voter's gains summed
+            live = {pid for pid in rest if inst.cost(pid) <= money}
+            gains = sum(Fraction(1, len(ballot & chosen) + t)
+                        for ballot in prof.ballots
+                        for t in range(1, len(ballot & live) + 1))
+            assert bound <= (now + gains) * unit
 
 
 def _funded_counts(search, election):
@@ -250,46 +258,38 @@ def _funded_counts(search, election):
 
 
 def _recounted_bound(search, election, idx, residual):
-    """(floored knapsack, cap) of a node, counted from scratch over the
-    ballot groups, with gain tables of its own.
+    """The floored piece knapsack of a node, counted from scratch over the
+    ballot groups, with gain tables of its own and in exact Fractions.
 
-    rp's knapsack counts each uncovered group once, for the first live
-    project in density order that it approves, at that share of the
-    project's cost; it has no cap and repeats the knapsack in its place.
+    A group can still gain if its next funded approval adds something.  The
+    live projects are walked by ascending cost per approver who can still
+    gain; a group that can gain is a piece of each of them that it approves,
+    worth the gain at its funded and walked approvals so far, and costing
+    that project's share per approver.
     """
     longest = max(map(len, election.ballots), default=0)
     gain = {"sw": [1] * (longest + 1), "rp": [1] + [0] * longest,
             "pav": harmonic_gains(longest)}[search.objective]
     harm = list(itertools.accumulate(gain, initial=0))
     counts = _funded_counts(search, election)
-    live = [j for j in range(idx, search.m) if search.costs[j] <= residual]
-    live_ids = {search.ids[j] for j in live}
-    avail = [sum(election.ids[k] in live_ids for k in ballot)
-             for ballot in election.ballots]
     weights = election.weights
     score = sum(w * harm[c] for w, c in zip(weights, counts))
     assert search.score == score
     number = {pid: k for k, pid in enumerate(election.ids)}
-    gains = [(sum(weights[g] * gain[counts[g]]
-                  for g in election.approvers[number[search.ids[j]]]),
-              search.costs[j]) for j in live]
-    if search.objective == "rp":
-        approving = [set(election.approvers[number[search.ids[j]]])
-                     for j in live]
-        left = {g for g, c in enumerate(counts) if not c}
-        shares = []
-        for (v, cost), groups in sorted(zip(gains, approving),
-                                        key=lambda item: -Fraction(*item[0])):
-            new = sum(weights[g] for g in groups & left)
-            left -= groups
-            if new:
-                shares.append((new, Fraction(cost * new, v)))
-        knapsack = math.floor(score + _knapsack_relaxation(shares, residual))
-        return knapsack, knapsack
-    knapsack = math.floor(score + _knapsack_relaxation(gains, residual))
-    cap = score + sum(w * (harm[c + a] - harm[c])
-                      for w, c, a in zip(weights, counts, avail))
-    return knapsack, cap
+    walk = []
+    for j in range(idx, search.m):
+        groups = [g for g in election.approvers[number[search.ids[j]]]
+                  if gain[counts[g]]]
+        v = sum(weights[g] for g in groups)
+        if search.costs[j] <= residual and v:
+            walk.append((Fraction(search.costs[j], v), groups))
+    level, pieces = list(counts), []
+    for share, groups in sorted(walk, key=lambda item: item[0]):
+        for g in groups:
+            pieces.append((weights[g] * gain[level[g]], weights[g] * share))
+            level[g] += 1
+    return math.floor(score + _knapsack_relaxation(
+        [(value, cost) for value, cost in pieces if value], residual))
 
 
 class _CheckedSearch(_Search):
@@ -309,15 +309,9 @@ class _CheckedSearch(_Search):
         assert self.rp == sum(w for w, c in zip(weights, counts) if c)
 
     def _bound(self, idx, residual):
-        knapsack, cap = super()._bound(idx, residual)
-        expected_knapsack, expected_cap = _recounted_bound(
-            self, self.election, idx, residual)
-        assert knapsack == expected_knapsack
-        # only pav has a cap; sw and rp repeat their knapsack bound in its
-        # place
-        assert cap == (knapsack if self.objective != "pav" else expected_cap)
-        assert min(knapsack, cap) == min(expected_knapsack, expected_cap)
-        return knapsack, cap
+        bound = super()._bound(idx, residual)
+        assert bound == _recounted_bound(self, self.election, idx, residual)
+        return bound
 
 
 def _assert_kept_bounds_are_exact(inst, prof):
@@ -333,15 +327,39 @@ def _assert_kept_bounds_are_exact(inst, prof):
 @settings(max_examples=60)
 @given(mixed_unit_elections())
 def test_kept_bound_equals_a_recount_at_every_node(election):
-    # the levels of funded and of funded-or-live approvals are kept across
-    # funding, passing, pricing out and undoing; every node of every search
-    # must see the sw, rp and bound that a recount from the decided projects
-    # gives
+    # the funded approvals are kept across funding and undoing, and the
+    # bound walks a copy of them; every node of every search must see the
+    # sw, rp and bound that a recount from the decided projects gives
     _assert_kept_bounds_are_exact(*election)
 
 
 def test_kept_bound_equals_a_recount_at_every_node_of_city(city_pair):
     _assert_kept_bounds_are_exact(*city_pair)
+
+
+def test_kept_bound_equals_a_recount_at_every_node_of_a_desk_election():
+    # ballots of up to 7 projects, so that pav's walk makes pieces on deep
+    # levels, and the fill takes them out of density order if it is wrong
+    _assert_kept_bounds_are_exact(*generate("euclidean-desk", 1))
+
+
+@pytest.mark.parametrize("objective, costs, budget, ballots, bound", [
+    ("rp", [3, 2, 5], 5, ["01", "1", "02", "2"], 3),
+    ("pav", [5, 4, 6, 2], 6, ["012", "012", "0", "1", "12"], 30),
+    ("pav", [5, 5, 5, 3], 15, ["0123", "", "03", "013", "023"], 83),
+])
+def test_piece_costs_are_exact_shares(objective, costs, budget, ballots,
+                                      bound):
+    # the fill takes pieces whose share of their project's cost is not
+    # whole; a floored share would leave room for a larger bound
+    inst = PBInstance(tuple(Project(f"p{j}", c) for j, c in enumerate(costs)),
+                      budget)
+    prof = ApprovalProfile(tuple(frozenset(f"p{j}" for j in ballot)
+                                 for ballot in ballots))
+    election = compile_election(inst, prof)
+    search = _Search(election, objective, SearchBudget())
+    assert search._bound(0, search.budget) == bound == _recounted_bound(
+        search, election, 0, search.budget)
 
 
 @given(elections())
