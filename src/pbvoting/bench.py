@@ -75,10 +75,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.rules:
             raise ValueError("spec needs at least one rule")
-        for rule in self.rules:
+        for k, rule in enumerate(self.rules):
             if rule not in RULE_NAMES:
                 raise ValueError(
                     f"unknown rule {rule!r}; choose from {RULE_NAMES}")
+            if rule in self.rules[:k]:
+                raise ValueError(f"rule {rule!r} is listed twice")
         TieBreakPolicy(self.tiebreak, self.seed)  # rejects unknown variants
         SearchBudget(self.max_nodes)  # rejects a non-positive node budget
         if self.n_instances < 1:

@@ -175,11 +175,11 @@ def _cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError("count must be positive")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
         seed = args.seed + k
-        inst, prof = generate(dataset, seed)
+        inst, prof = generate(dataset, seed)  # checks the seed first
         text = write_pb(inst, prof, {"description": f"{dataset} seed {seed}"})
+        out.mkdir(parents=True, exist_ok=True)
         (out / f"{dataset}-{seed:05d}.pb").write_text(text, encoding="utf-8")
     print(f"wrote {args.count} file(s) to {out}")
     return 0

@@ -17,10 +17,8 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, Optional
 
 Bundle = frozenset  # a bundle is simply a frozenset of project ids
@@ -131,15 +129,14 @@ class Election:
     audit; build it with :func:`compile_election`.
 
     Projects are numbered in instance order; `ids` holds their ids.  Voters
-    with identical ballots are interchangeable for every score and rule
-    here, so the rules run over weighted ballot groups: the distinct
-    ballots, each an ascending tuple of project numbers, in ascending order,
-    with their voter counts.  Voter sets are Python ints used as bitsets,
-    bit i standing for voter i, so a popcount counts voters.  Money is
-    integral in units of 1/unit, where unit is the least common multiple of
-    the cost and budget denominators (100 for cent-valued data).  Two
-    projects are twins when they have the same cost and approver set;
-    `twins[k]` is the first project of k's class.
+    are kept as bitsets only: a voter set is a Python int, bit i standing
+    for voter i, so a popcount counts voters, and `project_masks[k]` is
+    project k's approver set.  `n_voters` counts the voters and `longest`
+    is the length of the longest ballot.  Money is integral in units of
+    1/unit, where unit is the least common multiple of the cost and budget
+    denominators (100 for cent-valued data).  Two projects are twins when
+    they have the same cost and approver set; `twins[k]` is the first
+    project of k's class.
 
     Elections compare and hash by identity, so an election keys a memo at
     O(1) cost (`sequential` keeps the equal-shares approval phase that
@@ -148,11 +145,9 @@ class Election:
     """
 
     ids: tuple[str, ...]
-    ballots: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
-    group_of: tuple[int, ...]  # voter -> group
-    approvers: tuple[tuple[int, ...], ...]  # project -> groups, ascending
     project_masks: tuple[int, ...]
+    n_voters: int
+    longest: int
     unit: int
     costs: tuple[int, ...]
     budget: int
@@ -199,44 +194,27 @@ def compile_election(instance: PBInstance,
     return election
 
 
-# binary digits b"0"/b"1" to the bytes 0/1 that `compress` reads
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 @functools.lru_cache(maxsize=2)
 def _compile(instance: PBInstance, voters: tuple) -> Election:
     m = len(instance.projects)
     # each distinct mask as m binary digits, digit k for project k (the bit
-    # above project m - 1 pads bin() to m digits), decoded once into its
-    # ascending tuple of project numbers
-    top, projects = 1 << m, range(m)
+    # above project m - 1 pads bin() to m digits); column k of the voters'
+    # digits, from the last voter to the first, is k's approvers in binary
+    top = 1 << m
     digits = {mask: bin(mask | top)[:2:-1].encode() for mask in set(voters)}
-    decoded = {mask: tuple(compress(projects, row.translate(_FLAGS)))
-               for mask, row in digits.items()}
-    order = sorted(decoded, key=decoded.__getitem__)
-    ballots = tuple(map(decoded.__getitem__, order))
-    group = {mask: g for g, mask in enumerate(order)}
-    group_of = tuple(map(group.__getitem__, voters))
-    approver_lists: list[list[int]] = [[] for _ in projects]
-    for g, ballot in enumerate(ballots):
-        for k in ballot:
-            approver_lists[k].append(g)
-    approvers = tuple(map(tuple, approver_lists))
-    # column k of the voters' digits, from the last voter to the first, is
-    # project k's approver bitset in binary
     table = b"".join(map(digits.__getitem__, reversed(voters)))
-    project_masks = tuple(int(table[k::m] or b"0", 2) for k in projects)
+    project_masks = tuple(int(table[k::m] or b"0", 2) for k in range(m))
     unit = math.lcm(instance.budget.denominator,
                     *(p.cost.denominator for p in instance.projects))
     costs = tuple(int(p.cost * unit) for p in instance.projects)
     first: dict[tuple, int] = {}
     return Election(
-        ids=instance.project_ids, ballots=ballots,
-        weights=tuple(map(Counter(voters).__getitem__, order)),
-        group_of=group_of, approvers=approvers, project_masks=project_masks,
+        ids=instance.project_ids, project_masks=project_masks,
+        n_voters=len(voters),
+        longest=max(map(int.bit_count, digits), default=0),
         unit=unit, costs=costs, budget=int(instance.budget * unit),
         twins=tuple(first.setdefault(key, k)
-                    for k, key in enumerate(zip(costs, approvers))))
+                    for k, key in enumerate(zip(costs, project_masks))))
 
 
 def lift(levels: list[int], mask: int) -> list[int]:

@@ -60,6 +60,8 @@ def _cents(x: float) -> Fraction:
 
 
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
+    if seed < 0:  # checked here for every generator, before numpy loads
+        raise ValueError(f"seed must be non-negative, got {seed}")
     import numpy as np
     return [np.random.Generator(np.random.PCG64(s))
             for s in np.random.SeedSequence(seed).spawn(n)]

@@ -3,9 +3,9 @@
 All three rules are solved by the same depth-first branch-and-bound over
 include/exclude decisions in a fixed project order, with one admissible
 bound on the residual budget, the piece knapsack.  The search reads the
-compiled election (`core.compile_election`): duplicate ballots are weighted
-groups, which makes block-structured instances (all voters of a district
-voting alike) cheap to solve.
+compiled election (`core.compile_election`): voter sets are bitsets, and
+twin projects are taken in one order, which makes block-structured
+instances (all voters of a district voting alike) cheap to solve.
 
 The outcome of a rule is the set of *inclusion-maximal* optimal bundles:
 bundles attaining the optimal objective to which no further project can be
@@ -216,11 +216,11 @@ class _Search:
 
         # gain[k]: what one more funded approval adds to a voter with k (the
         # last entry: with k or more); pav in units of 1/L
-        depth = max(max(map(len, election.ballots), default=0), 1)
+        depth = max(election.longest, 1)
         self.gain = {"sw": [1], "rp": [1, 0],
                      "pav": harmonic_gains(depth)}[objective]
         self.scale = self.gain[0]
-        self.everyone = (1 << len(election.group_of)) - 1
+        self.everyone = (1 << election.n_voters) - 1
         # sw's and pav's walk, (density, j, v = static) in the fixed order,
         # which ends on the projects without approvers, and then a stop
         self.walk = [(v * k, j, v) for j, (v, k) in enumerate(zip(

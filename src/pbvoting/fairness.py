@@ -125,7 +125,7 @@ def _levels(election: Election, funded: frozenset, depth: int) -> list[int]:
     """under[k] for k = 0..depth: the voters with fewer than k funded
     approvals, as a voter bitset, from the levels reached[k] (see the
     module docstring)."""
-    everyone = (1 << len(election.group_of)) - 1
+    everyone = (1 << election.n_voters) - 1
     reached = [everyone] + [0] * depth
     for pid, mask in zip(election.ids, election.project_masks):
         if pid in funded:
@@ -139,8 +139,8 @@ def _search(election: Election, funded: frozenset,
 
     Returns the witness found, if any, and how many sets T it tried.
     """
-    n = len(election.group_of)
-    depth = min(t_cap, max(map(len, election.ballots), default=0))
+    n = election.n_voters
+    depth = min(t_cap, election.longest)
     if depth == 0:
         return None, 0
     under = _levels(election, funded, depth)

@@ -55,15 +55,19 @@ class PabulibParseError(ValueError):
 
 
 def _decimal_fraction(text: str, line: Optional[int], what: str) -> Fraction:
-    """An exact value written as a finite decimal, as `write_pb` writes it."""
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise PabulibParseError(line, f"malformed decimal {text!r} for {what}")
+    """An exact value written as a finite decimal, as `write_pb` writes it:
+    an ASCII sign, digits, point and exponent of at most three digits (which
+    `Fraction` expands into an integer), and nothing else."""
     if "/" in text:
         raise PabulibParseError(
             line, f"{what} must be a finite decimal, got {text!r}")
-    return value
+    if (not text.strip("+-.0123456789eE")  # no other character
+            and len(text.lower().partition("e")[2].lstrip("+-")) <= 3):
+        try:
+            return Fraction(text)
+        except ValueError:
+            pass
+    raise PabulibParseError(line, f"malformed decimal {text!r} for {what}")
 
 
 def _count(text: str, key: str, line: int) -> int:

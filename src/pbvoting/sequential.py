@@ -8,24 +8,21 @@ exact harmonic-score run on the residual budget (`rule_x_pav`).  Equal
 shares here has approval utilities only: 1 for an approved project, 0
 otherwise.
 
-Equal shares runs over the weighted ballot groups of the compiled election
-(`core.compile_election`), and each project only looks at the groups that
-approve it.  The grouping is exact: voters with identical ballots are
-charged identically in every round, so their budgets stay identical, and a
-group of w voters with budget b each pays w times a voter's charge.
+Equal shares runs over money classes (`core.compile_election` keeps voters
+as bitsets): a class is the bitset of the voters who hold one amount.  The
+phase starts with one class, everyone.  Funding project k splits each class
+into k's approvers, who pay, and the rest; spent voters leave, and parts
+that come to hold one amount merge.
 
 RX, RX-eps and RX-PAV begin with the same approval phase, so it runs once
 per compiled election and is memoized next to it, one election deep: the
 funded projects in funding order and the threshold q each was paid at, a
-`Fraction` in the instance's money.  An `EqualSharesTrace` is rebuilt from
-the memo in `Fraction`s by charging min(b_g, q) to each approver group of
-each funded project, in funding order, which repeats the phase's charges
-exactly; per-voter records are expanded from the groups through the
-election's voter-to-group map.
+`Fraction` in the instance's money.  An `EqualSharesTrace` is replayed
+from the memo (`_replay`).
 
 The exhaustion phase of `rule_x_eps` needs no budgets.  There every voter
 pays for every project, and a funded project is paid for exactly, since
-sum_g w_g * min(b_g, r) = cost at its threshold r; the voters' total money
+sum_i min(b_i, r) = cost at its threshold r; the voters' total money
 is therefore the budget minus the cost of everything funded so far.  Every
 project then shares one set of payers, so r rises strictly with cost and
 the (r, cost, id) order is the (cost, id) order, and a project is
@@ -33,34 +30,36 @@ affordable exactly while its cost fits in that total.  The phase funds the
 longest prefix of the unfunded projects in (cost, id) order whose costs fit
 in the money the approval phase left, in the election's integer units, and
 stops at the first that does not fit: every later project costs at least as
-much, and money only falls.  Group budgets and thresholds are computed only
+much, and money only falls.  Voter budgets and thresholds are computed only
 for a trace.
 
 The payment threshold q of a project is the least q with
-sum_g w_g * min(b_g, q) >= cost over its approver groups.  It is found with
-one scan over the groups sorted by the breakpoint b_g (b_g / u_g for the
-general utilities of `q_value`): a group whose breakpoint lies
-below the rate that the still-uncapped groups would need pays its whole
-budget and drops out; the first group that does not drop out fixes q, since
-every later group has a breakpoint at least as large and is not capped at q
-either.
+sum_c w_c * min(b_c, q) >= cost over the classes c, w_c the popcount of c
+and its approvers, each holding b_c.  It is found with one scan over those
+classes sorted by the breakpoint b_c (b_i / u_i for the voters and general
+utilities of `q_value`): a class whose breakpoint lies below the rate that
+the still-uncapped classes would need pays its whole money and drops out;
+the first class that does not drop out fixes q, since every later class has
+a breakpoint at least as large and is not capped at q either.
 
-The approval phase runs that scan on integers.  Every group's per-voter
-money is b_g = B_g / D in the election's money units (`core.Election`), an
-integer B_g over one common denominator D.  At the start D = n, the number
-of voters, and every B_g is the election's integer budget, so each voter
-holds budget / n.  A project of cost c starts the scan with left = c * D
-and U, the number of its approving voters whose money is not spent; a group
-drops out while left > B_g * U, which subtracts w_g * B_g from left and w_g
-from U, and the first group that stays fixes the threshold (N, U), N the
-left at that point: q = N / (U * D), with no division in the scan.  Funding
-at (N, U) puts every group's money over D * U: each B_g is multiplied by U,
-each approver group pays N out of it (what it has, if less), and D becomes
-D * U.  The gcd of D and all the B_g is then divided out, which keeps the
-integers short.  The heap keys of the loop below are the only `Fraction`s,
-one per evaluation of a project: q = N / (U * D * unit) in the instance's
-money, which compares across rounds.  `q_value` keeps the `Fraction` scan
-for general utilities.
+The approval phase runs that scan on integers.  A class's per-voter money
+is b_c = B_c / D in the election's money units (`core.Election`), an
+integer B_c over one common denominator D.  At the start D = n, the number
+of voters, and the one class holds the integer budget, so each voter holds
+budget / n.  A project of cost c starts the scan with left = c * D and U,
+the number of its approvers whose money is not spent (one popcount); a
+class drops out while left > B_c * U, which subtracts w_c * B_c from left
+and w_c from U, and the first class that stays fixes the threshold (N, U),
+N the left at that point: q = N / (U * D), with no division in the scan.
+The classes are sorted by money once per funding and weighed only as the
+scan reaches them, so none richer than that class is weighed.  Funding at
+(N, U) puts all money over D * U: each B_c is multiplied by U, the class's
+approvers pay N out of it (what they have, if less), and D becomes D * U.
+The gcd of D and all the B_c is then divided out, which keeps the integers
+short.  The heap keys of the loop below are the only `Fraction`s, one per
+evaluation of a project: q = N / (U * D * unit) in the instance's money,
+which compares across rounds.  `q_value` keeps the `Fraction` scan for
+general utilities.
 
 The equal-shares loop evaluates projects lazily.  Budgets only fall, so a
 project's payment threshold only rises (or the project becomes unaffordable
@@ -87,30 +86,16 @@ import functools
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (ApprovalProfile, Election, PBInstance, compile_election,
                    lift)
 from .exact import SearchBudget, TieBreakPolicy, harmonic_gains, solve_pav
-
-
-def _threshold(cost: Fraction, groups) -> Optional[Fraction]:
-    """Least q with sum(min(money, weight_util * q)) >= cost, else None.
-
-    `groups` holds (breakpoint b/u, money w*b, utility w*u) triples with a
-    positive utility.  If every group is capped, their money falls short.
-    """
-    util = sum(g[2] for g in groups)
-    leftover = Fraction(cost)
-    for breakpoint, money, weight_util in sorted(groups, key=itemgetter(0)):
-        if leftover <= breakpoint * util:
-            return leftover / util
-        leftover -= money
-        util -= weight_util
-    return None
 
 
 def q_value(cost: Fraction, budgets: Sequence[Fraction],
@@ -119,15 +104,24 @@ def q_value(cost: Fraction, budgets: Sequence[Fraction],
 
     A project is affordable at rate q when sum_i min(b_i, u_i * q) covers its
     cost.  Returns None when even the full remaining money of the interested
-    voters cannot cover the cost.  Each voter is a group of weight 1 in the
-    breakpoint scan that the equal-shares loop runs.
+    voters cannot cover the cost.  It is the breakpoint scan of the module
+    docstring in `Fraction`s, each voter of positive utility a class.
     """
     if cost <= 0:
         raise ValueError("cost must be positive")
     if len(budgets) != len(utilities):
         raise ValueError("budgets and utilities must align")
-    return _threshold(cost, [(Fraction(b) / u, b, u)
-                             for b, u in zip(budgets, utilities) if u > 0])
+    voters = sorted(((Fraction(b) / u, b, u)
+                     for b, u in zip(budgets, utilities) if u > 0),
+                    key=itemgetter(0))
+    util = sum(u for _, _, u in voters)
+    leftover = Fraction(cost)
+    for breakpoint, money, u in voters:
+        if leftover <= breakpoint * util:
+            return leftover / util
+        leftover -= money
+        util -= u
+    return None
 
 
 @dataclass
@@ -155,30 +149,39 @@ def _replay(election: Election, phase: _Phase, more: Sequence[int],
     """Charge the approval phase again, in `Fraction`s, then the exhaustion
     projects `more`, recording both in `trace`.
 
-    Charging min(b_g, q) to each approver group of each funded project, in
-    funding order, repeats the charges of `_approval_phase` exactly.  Each
-    exhaustion project is charged to every group at its uniform threshold.
+    Charging min(b_i, q) to each approver i of each funded project in
+    funding order repeats the phase exactly; each exhaustion project is
+    charged to every voter at its threshold.  Voters who paid for the same
+    projects hold the same money, `money[label[i]]`, charged once per class.
     """
-    weights = election.weights
-    budgets = ([Fraction(election.budget,
-                         election.unit * len(election.group_of))]
-               * len(weights))
+    n = election.n_voters
+    money = [Fraction(election.budget, election.unit * n)]
+    label = [0] * n
 
-    def charge(k: int, members, q: Fraction):
-        paid = [Fraction(0)] * len(weights)
-        for g in members:
-            paid[g] = min(budgets[g], q)
-            budgets[g] -= paid[g]
+    def charge(k: int, voters: Iterable[int], q: Fraction):
+        paid = [Fraction(0)] * n
+        step = {}  # a payer's class -> (its class after paying, the payment)
+        for i in voters:
+            c = label[i]
+            if c not in step:
+                p = min(money[c], q)
+                step[c] = len(money), p
+                money.append(money[c] - p)
+            label[i], paid[i] = step[c]
         trace.funded.append(election.ids[k])
-        trace.charges[election.ids[k]] = [paid[g] for g in election.group_of]
+        trace.charges[election.ids[k]] = paid
 
     for k, q in zip(phase.funded, phase.q):
-        charge(k, election.approvers[k], q)
+        row = f"{election.project_masks[k]:0{n}b}"[::-1]  # digit i: voter i
+        charge(k, compress(range(n), map("1".__eq__, row)), q)
     for k in more:
-        cost = Fraction(election.costs[k], election.unit)
-        charge(k, range(len(weights)), _threshold(
-            cost, [(b, b * w, w) for b, w in zip(budgets, weights) if b]))
-    trace.final_budgets = [budgets[g] for g in election.group_of]
+        # w voters holding b each weigh as one holding w * b of utility w
+        weights = Counter(label)
+        r = q_value(Fraction(election.costs[k], election.unit),
+                    [money[c] * w for c, w in weights.items()],
+                    list(weights.values()))
+        charge(k, range(n), r)
+    trace.final_budgets = list(map(money.__getitem__, label))
 
 
 @functools.lru_cache(maxsize=1)
@@ -186,37 +189,39 @@ def _approval_phase(election: Election) -> _Phase:
     """The approval phase of equal shares on `election`, run once for RX,
     RX-eps and RX-PAV: repeatedly fund the project with minimal finite q.
 
-    Only a project's approver groups pay for it.  Ties on q go to the
-    cheaper project, then to the lexicographically smaller id.  Group g's
-    voters hold money[g] / denom each, in the election's money units:
-    integers over one common denominator (see the module docstring).  One
-    election is kept: every caller runs one election's RX rules before it
-    moves to the next.
+    Only a project's approvers pay for it.  Ties on q go to the cheaper
+    project, then to the lexicographically smaller id.  `ranked` lists the
+    money classes by money, each an amount over the common denominator
+    `denom` in the election's money units and the bitset of the voters
+    holding it (see the module docstring).  One election is kept: every
+    caller runs one election's RX rules before it moves to the next.
     """
-    n = len(election.group_of)
+    n = election.n_voters
     if n == 0:
         raise NoVotersError("equal shares needs at least one voter")
-    approvers, weights = election.approvers, election.weights
-    money, denom = [election.budget] * len(weights), n
+    masks = election.project_masks
+    alive = (1 << n) - 1  # the voters with money left
+    ranked, denom = [(election.budget, alive)], n
 
     def key(k: int, stamp: int):
         """Project k's heap entry (q, cost, id, k, stamp, N, U), its
         threshold q = N / (U * denom) as a `Fraction` in the instance's
         money, or None when its approvers cannot afford it."""
-        members = sorted((g for g in approvers[k] if money[g]),
-                         key=money.__getitem__)
-        util = sum(map(weights.__getitem__, members))
+        mask = masks[k]
+        util = (mask & alive).bit_count()
         cost = election.costs[k]
         left = cost * denom
-        for g in members:
-            if left <= money[g] * util:
+        for b, voters in ranked:
+            if not (w := (voters & mask).bit_count()):
+                continue
+            if left <= b * util:
                 q = Fraction(left, util * denom * election.unit)
                 return q, cost, election.ids[k], k, stamp, left, util
-            left -= weights[g] * money[g]
-            util -= weights[g]
+            left -= w * b
+            util -= w
         return None
 
-    heap = [entry for k in range(len(approvers))
+    heap = [entry for k in range(len(masks))
             if (entry := key(k, 0)) is not None]
     heapq.heapify(heap)
     funded: list[int] = []
@@ -230,14 +235,23 @@ def _approval_phase(election: Election) -> _Phase:
             if entry is not None:
                 heapq.heappush(heap, entry)
             continue
-        # every group's money over the new denominator denom * util; an
-        # approver group pays left, or all it has
-        money = [b * util for b in money]
-        for g in approvers[k]:
-            money[g] = max(money[g] - left, 0)
+        # all money over the new denominator denom * util; k's approvers in
+        # each class pay left, or all they have, and leave it if spent
+        mask, split = masks[k], {}
+        for b, voters in ranked:
+            b *= util
+            paying = voters & mask
+            if paying:
+                voters ^= paying
+                if b > left:
+                    split[b - left] = split.get(b - left, 0) | paying
+                else:
+                    alive ^= paying
+            if voters:
+                split[b] = split.get(b, 0) | voters
         denom *= util
-        common = math.gcd(denom, *money)
-        money = [b // common for b in money]
+        common = math.gcd(denom, *split)
+        ranked = sorted((b // common, voters) for b, voters in split.items())
         denom //= common
         funded.append(k)
         paid.append(q)
@@ -324,12 +338,11 @@ def seq_pav(instance: PBInstance, profile: ApprovalProfile,
     re-scored lazily (see the module docstring).
     """
     e = compile_election(instance, profile)
-    longest = max(map(len, e.ballots), default=0)
-    gain = harmonic_gains(longest)
+    gain = harmonic_gains(e.longest)
     rng = (random.Random(tiebreak.seed)
            if tiebreak.variant == "random" else None)
     # reached[k]: the voters with at least k funded approvals
-    reached = [(1 << len(e.group_of)) - 1] + [0] * longest
+    reached = [(1 << e.n_voters) - 1] + [0] * e.longest
     # each project's gain when last scored, and the round it was scored in;
     # nobody has a funded approval yet, so every voter gains gain[0]
     stored = [gain[0] * mask.bit_count() for mask in e.project_masks]

@@ -202,6 +202,28 @@ def test_a_bad_config_value_names_its_key(tmp_path, monkeypatch, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_repeated_rule_is_rejected_by_name(tmp_path, monkeypatch, capsys,
+                                             source):
+    # one row per (instance, rule) pair: a rule listed twice would emit
+    # every row twice and count each instance twice in the summary
+    with pytest.raises(ValueError, match="^rule 'AV' is listed twice$"):
+        ExperimentSpec("tiny", ("AV", "CC", "AV"))
+    calls = []
+    monkeypatch.setattr(bench, "load_dataset",
+                        lambda *a: calls.append(a) or [])
+    if source == "flag":
+        argv = ["bench", "--dataset", "tiny", "--rules", "AV,AV"]
+    else:
+        config = tmp_path / "spec.cfg"
+        config.write_text("dataset = tiny\nrules = AV, AV\n",
+                          encoding="utf-8")
+        argv = ["bench", "--config", str(config)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: rule 'AV' is listed twice\n"
+    assert calls == []
+
+
 def test_record_time_reads_true_or_false_in_any_case():
     for value, expected in (("TRUE", True), ("False", False)):
         spec = spec_from_config({"dataset": "city", "rules": "AV",

@@ -158,6 +158,23 @@ def test_generate_rejects_a_non_positive_count_before_writing(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--dataset", "euclidean-desk", "--rules", "AV"],
+    ["solve", "--dataset", "euclidean-desk", "--rule", "AV"],
+    ["check-ejr", "--dataset", "partylist-desk", "--bundle", "g00p00"],
+    ["generate", "--preset", "euclidean-desk", "--out-dir", "{out}"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_names_its_cause(tmp_path, capsys, argv):
+    # every generator checks its seed before it draws, and generate writes
+    # no directory for it
+    out = tmp_path / "corpus"
+    argv = [arg.format(out=out) for arg in argv]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: seed must be non-negative, got -1\n")
+    assert not out.exists()
+
+
 def _parse_calls(monkeypatch):
     """The texts that `bench.parse_pb` parses from here on."""
     texts = []

@@ -71,6 +71,14 @@ def test_euclidean_ballot_sizes_respect_bounds():
     assert all(1 <= len(b) <= 10 for b in prof.ballots)
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "partylist",
+                                  "euclidean-desk", "partylist-desk"])
+def test_a_negative_seed_is_rejected_by_name(kind):
+    with pytest.raises(ValueError,
+                       match=r"^seed must be non-negative, got -1$"):
+        generate(kind, -1)
+
+
 def test_generate_rejects_unknown_kind():
     with pytest.raises(ValueError):
         generate("martian", 0)

@@ -1,4 +1,5 @@
 import random
+import re
 import string
 from fractions import Fraction
 from pathlib import Path
@@ -165,16 +166,37 @@ def test_zero_projects_is_a_parse_error():
         parse_pb(text)
 
 
+# a fraction; two spellings of 10 that `Fraction` reads but that are not
+# ASCII decimals, a digit separator and fullwidth digits; and an exponent
+# too long to expand.  Each with its whole error, naming its field.
+MALFORMED = "malformed decimal {text!r} for {what}"
+NOT_DECIMALS = [("1/3", "{what} must be a finite decimal, got {text!r}"),
+                ("1_0", MALFORMED), ("\uff11\uff10", MALFORMED),
+                ("1e1000000", MALFORMED)]
+
+
 def test_budget_must_be_a_finite_decimal():
-    bad = MINIMAL.replace("budget;1000", "budget;1/3")
-    with pytest.raises(PabulibParseError, match="line 2: budget.*finite"):
-        parse_pb(bad)
+    for text, error in NOT_DECIMALS:
+        bad = MINIMAL.replace("budget;1000", f"budget;{text}")
+        message = "line 2: " + error.format(text=text, what="budget")
+        with pytest.raises(PabulibParseError, match=re.escape(message) + "$"):
+            parse_pb(bad)
 
 
 def test_cost_must_be_a_finite_decimal():
-    bad = MINIMAL.replace("p;100", "p;1/3")
-    with pytest.raises(PabulibParseError, match=r"line 7: project 'p'.*finite"):
-        parse_pb(bad)
+    for text, error in NOT_DECIMALS:
+        bad = MINIMAL.replace("p;100", f"p;{text}")
+        message = "line 7: " + error.format(text=text, what="project 'p'")
+        with pytest.raises(PabulibParseError, match=re.escape(message) + "$"):
+            parse_pb(bad)
+
+
+def test_a_three_digit_exponent_is_a_decimal():
+    text = MINIMAL.replace("budget;1000", "budget;1e-3").replace(
+        "p;100", "p;25E+002")
+    inst = parse_pb(text)[0]
+    assert inst.budget == Fraction(1, 1000)
+    assert inst.projects[0].cost == 2500
 
 
 @st.composite

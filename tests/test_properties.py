@@ -1,9 +1,10 @@
-"""Property tests for the compiled election, the grouped equal-shares loop,
-sPAV on voter levels, the bitset EJR search and the integer branch and
-bound of the exact rules.
+"""Property tests for the compiled election, the equal-shares loop over
+money classes, sPAV on voter levels, the bitset EJR search and the integer
+branch and bound of the exact rules.
 
 Elections are small and drawn from a small pool of ballots, so duplicate
-ballots and empty ballots are common; both change how voters are grouped.
+ballots and empty ballots are common; both change how voters fall into
+money classes.
 """
 
 from __future__ import annotations
@@ -109,35 +110,27 @@ def mixed_unit_elections(draw):
 def test_compiled_election_matches_a_recount_of_the_ballots(election):
     inst, prof = election
     e = compile_election(inst, prof)
-    n, ids = prof.n_voters, inst.project_ids
-    assert sum(e.weights) == n
-    ballots = [frozenset(ids[k] for k in ballot) for ballot in e.ballots]
-    assert len(set(ballots)) == len(ballots)
-    assert set(ballots) == set(prof.ballots)
-    assert list(e.ballots) == sorted(e.ballots)
-    assert all(list(ballot) == sorted(ballot) for ballot in e.ballots)
-    # each voter maps to the group of its ballot, and a group weighs as many
-    # voters as map to it
-    assert [ballots[g] for g in e.group_of] == list(prof.ballots)
-    assert Counter(e.group_of) == dict(enumerate(e.weights))
-    for k, pid in enumerate(ids):
-        assert e.project_masks[k] == sum(
-            1 << i for i, ballot in enumerate(prof.ballots) if pid in ballot)
-        assert e.approvers[k] == tuple(
-            g for g, ballot in enumerate(ballots) if pid in ballot)
+    ids = inst.project_ids
+    assert e.ids == ids
+    assert e.n_voters == prof.n_voters
+    assert e.longest == max(map(len, prof.ballots), default=0)
+    # each project's approvers, as a voter bitset, bit i for voter i
+    approvers = [frozenset(i for i, ballot in enumerate(prof.ballots)
+                           if pid in ballot) for pid in ids]
+    assert list(e.project_masks) == [sum(1 << i for i in voters)
+                                     for voters in approvers]
     # money: integral in units of 1/unit, and in no coarser unit
     amounts = [inst.budget] + [inst.cost(pid) for pid in ids]
     assert [e.budget, *e.costs] == [a * e.unit for a in amounts]
     for p in range(2, e.unit + 1):
         if e.unit % p == 0 and all(p % d for d in range(2, p)):  # p prime
             assert any((a * (e.unit // p)).denominator != 1 for a in amounts)
-    # twins: same cost and the same approvers, and nothing else
-    approvers = [frozenset(i for i, ballot in enumerate(prof.ballots)
-                           if pid in ballot) for pid in ids]
-    for k, l in itertools.combinations(range(len(ids)), 2):
-        assert (e.twins[k] == e.twins[l]) == (
-            inst.cost(ids[k]) == inst.cost(ids[l])
-            and approvers[k] == approvers[l])
+    # twins: the first project with the same cost and the same approvers
+    for k, pid in enumerate(ids):
+        assert e.twins[k] == min(
+            l for l, other in enumerate(ids)
+            if inst.cost(other) == inst.cost(pid)
+            and approvers[l] == approvers[k])
 
 
 def test_an_election_of_more_than_64_projects_matches_a_recount():
@@ -250,16 +243,21 @@ def test_search_bound_lies_between_best_completion_and_relaxation(
             assert bound <= (now + gains) * unit
 
 
-def _funded_counts(search, election):
+def _ballot_groups(prof):
+    """The distinct ballots of a profile and how many voters cast each."""
+    return list(Counter(prof.ballots).items())
+
+
+def _funded_counts(search, groups):
     """Each ballot group's funded approvals, counted from `search.chosen`."""
     funded = {search.ids[j] for j in range(search.m) if search.chosen[j]}
-    return [sum(election.ids[k] in funded for k in ballot)
-            for ballot in election.ballots]
+    return [len(ballot & funded) for ballot, _ in groups]
 
 
-def _recounted_bound(search, election, idx, residual):
+def _recounted_bound(search, groups, idx, residual):
     """The floored piece knapsack of a node, counted from scratch over the
-    ballot groups, with gain tables of its own and in exact Fractions.
+    profile's ballot groups (`_ballot_groups`), with gain tables of its own
+    and in exact Fractions.
 
     A group can still gain if its next funded approval adds something.  The
     live projects are walked by ascending cost per approver who can still
@@ -267,26 +265,25 @@ def _recounted_bound(search, election, idx, residual):
     worth the gain at its funded and walked approvals so far, and costing
     that project's share per approver.
     """
-    longest = max(map(len, election.ballots), default=0)
+    longest = max((len(ballot) for ballot, _ in groups), default=0)
     gain = {"sw": [1] * (longest + 1), "rp": [1] + [0] * longest,
             "pav": harmonic_gains(longest)}[search.objective]
     harm = list(itertools.accumulate(gain, initial=0))
-    counts = _funded_counts(search, election)
-    weights = election.weights
-    score = sum(w * harm[c] for w, c in zip(weights, counts))
+    counts = _funded_counts(search, groups)
+    score = sum(w * harm[c] for (_, w), c in zip(groups, counts))
     assert search.score == score
-    number = {pid: k for k, pid in enumerate(election.ids)}
     walk = []
     for j in range(idx, search.m):
-        groups = [g for g in election.approvers[number[search.ids[j]]]
-                  if gain[counts[g]]]
-        v = sum(weights[g] for g in groups)
+        members = [g for g, (ballot, _) in enumerate(groups)
+                   if search.ids[j] in ballot and gain[counts[g]]]
+        v = sum(groups[g][1] for g in members)
         if search.costs[j] <= residual and v:
-            walk.append((Fraction(search.costs[j], v), groups))
+            walk.append((Fraction(search.costs[j], v), members))
     level, pieces = list(counts), []
-    for share, groups in sorted(walk, key=lambda item: item[0]):
-        for g in groups:
-            pieces.append((weights[g] * gain[level[g]], weights[g] * share))
+    for share, members in sorted(walk, key=lambda item: item[0]):
+        for g in members:
+            w = groups[g][1]
+            pieces.append((w * gain[level[g]], w * share))
             level[g] += 1
     return math.floor(score + _knapsack_relaxation(
         [(value, cost) for value, cost in pieces if value], residual))
@@ -294,23 +291,23 @@ def _recounted_bound(search, election, idx, residual):
 
 class _CheckedSearch(_Search):
     """A search that recounts sw and rp at every node, and its bound at
-    every node it bounds, from scratch."""
+    every node it bounds, from scratch over the profile's ballots."""
 
-    def __init__(self, election, objective, search_budget):
+    def __init__(self, election, prof, objective, search_budget):
         super().__init__(election, objective, search_budget)
-        self.election = election
+        self.groups = _ballot_groups(prof)
 
     def _tick(self):
         super()._tick()
         # sw and rp are the worst-sw and worst-rp keys of every objective
-        counts = _funded_counts(self, self.election)
-        weights = self.election.weights
-        assert self.sw == sum(w * c for w, c in zip(weights, counts))
-        assert self.rp == sum(w for w, c in zip(weights, counts) if c)
+        counts = _funded_counts(self, self.groups)
+        assert self.sw == sum(w * c for (_, w), c in zip(self.groups, counts))
+        assert self.rp == sum(w for (_, w), c in zip(self.groups, counts)
+                              if c)
 
     def _bound(self, idx, residual):
         bound = super()._bound(idx, residual)
-        assert bound == _recounted_bound(self, self.election, idx, residual)
+        assert bound == _recounted_bound(self, self.groups, idx, residual)
         return bound
 
 
@@ -319,9 +316,10 @@ def _assert_kept_bounds_are_exact(inst, prof):
         "lex-by-id", "cheapest-first", "worst-sw", "worst-rp")]
     election = compile_election(inst, prof)
     for objective in ("sw", "rp", "pav"):
-        _CheckedSearch(election, objective, SearchBudget()).optimum()
+        _CheckedSearch(election, prof, objective, SearchBudget()).optimum()
         for policy in policies + [TieBreakPolicy.random_seeded(1)]:
-            _CheckedSearch(election, objective, SearchBudget()).select(policy)
+            _CheckedSearch(election, prof, objective,
+                           SearchBudget()).select(policy)
 
 
 @settings(max_examples=60)
@@ -359,7 +357,7 @@ def test_piece_costs_are_exact_shares(objective, costs, budget, ballots,
     election = compile_election(inst, prof)
     search = _Search(election, objective, SearchBudget())
     assert search._bound(0, search.budget) == bound == _recounted_bound(
-        search, election, 0, search.budget)
+        search, _ballot_groups(prof), 0, search.budget)
 
 
 @given(elections())
@@ -393,9 +391,13 @@ def test_equal_shares_traces_replay_the_shared_phase(election):
 # sPAV and RX-eps part from greedy AV and RX far more often than in the
 # pooled ballots of the strategies above
 seeded_elections = st.builds(random_instance, st.integers(0, 10 ** 9))
+# party-list block elections: each voter group approves its own projects,
+# so money classes stay whole groups until their projects are funded
+block_elections = st.builds(generate, st.just("partylist-desk"),
+                            st.integers(0, 10 ** 9))
 
 
-@given(st.one_of(mixed_unit_elections(), seeded_elections))
+@given(st.one_of(mixed_unit_elections(), seeded_elections, block_elections))
 def test_equal_shares_match_the_per_voter_oracle(election):
     inst, prof = election
     if not prof.n_voters:
