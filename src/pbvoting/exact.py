@@ -7,6 +7,15 @@ compiled election (`core.compile_election`): voter sets are bitsets, and
 twin projects are taken in one order, which makes block-structured
 instances (all voters of a district voting alike) cheap to solve.
 
+The fixed order differs by objective.  sw and pav branch by descending
+approval density (approvers per unit cost), as their bound walks the
+order's suffix.  rp's bound re-sorts its walk at every node, so rp is free
+to branch on reach instead: most approvers first, then the costlier, then
+by id, deciding first the projects that constrain the rest most (Haralick &
+Elliott, Artificial Intelligence 14, 1980).  On the desk corpus that visits
+about a quarter fewer nodes.  Twins tie on approvers and cost in either
+order, so each twin class is still taken lowest id first.
+
 The outcome of a rule is the set of *inclusion-maximal* optimal bundles:
 bundles attaining the optimal objective to which no further project can be
 added within the budget.  Dropping non-maximal optima loses nothing (the
@@ -194,9 +203,13 @@ class _Search:
         # v * scale[k] orders projects by v / cost exactly, in integers
         common = math.lcm(*election.costs)
         scale = [common // c for c in election.costs]
-        # fixed order: static approval density desc, then cost asc, then id
+        # fixed order (see the module docstring): sw and pav by static
+        # approval density desc, then cost asc; rp by approvers desc, then
+        # cost desc; then id
+        reach = objective == "rp"
         order = sorted(range(len(static)), key=lambda k: (
-            -static[k] * scale[k], election.costs[k], election.ids[k]))
+            (-static[k], -election.costs[k]) if reach else
+            (-static[k] * scale[k], election.costs[k]), election.ids[k]))
         self.ids = [election.ids[k] for k in order]
         self.m = len(order)
         self.budget = election.budget
@@ -366,7 +379,8 @@ class _Search:
         branch that can at best tie the incumbent and whose partial
         secondary score already exceeds the pick's, as both scores only
         grow when projects are added.  random keeps one bundle by reservoir
-        sampling, which is uniform over the whole tie set.
+        sampling, uniform over the canonical tie set (twins taken lowest id
+        first), in the search's visiting order.
         """
         self.phase = "ties"
         variant = policy.variant

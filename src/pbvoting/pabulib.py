@@ -13,10 +13,12 @@ The format has three sections, each introduced by a bare header line::
     voter_id;vote;...
     v1;p1,p2;...
 
-Only approval ballots are supported: the ``vote`` column holds a
-comma-separated list of project ids.  Extra columns are checked for their
-cell count and then ignored; `write_pb` writes only ``project_id;cost`` and
-``voter_id;vote``, so they do not survive a parse/write cycle.  `parse_pb`
+Lines end at LF, CRLF or CR, and at none of the other line boundaries of
+`str.splitlines`, which a cell may hold.  Only approval ballots are
+supported: the ``vote`` column holds a comma-separated list of project
+ids.  Extra columns are checked for their cell count and then ignored;
+`write_pb` writes only ``project_id;cost`` and ``voter_id;vote``, so they
+do not survive a parse/write cycle.  `parse_pb`
 also returns the META section as a mapping, unknown keys included.  All
 failures raise :class:`PabulibParseError` with a line number; the parser
 never leaks a bare exception on malformed input.
@@ -83,7 +85,13 @@ _Section = tuple[int, Sequence[int], Sequence[str]]
 
 
 def _split_sections(text: str) -> dict[str, _Section]:
-    lines = text.splitlines()
+    # lines end at \n, \r\n or \r only: `str.splitlines` also breaks at
+    # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, which a cell may hold
+    if "\r" in text:  # the replaces copy the text
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the last line break is no line
     starts = {name: lines.index(name) for name in ("META", "PROJECTS", "VOTES")
               if name in lines}
     for lineno, line in enumerate(lines[:min(starts.values(), default=None)],
@@ -267,13 +275,32 @@ def format_decimal(value: Fraction) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+def _cell(text: str, what: str, project_id: bool = False) -> str:
+    """`text`, checked to read back unchanged from the cell it is written
+    to: `parse_pb` strips each cell, splits the text into lines at line
+    breaks, a row at ``;`` and a vote at ``,``, and drops empty vote ids."""
+    if project_id and not text:
+        reason = "it is empty"
+    elif text != text.strip():
+        reason = "it has surrounding whitespace"
+    else:
+        breaks = ";\n\r," if project_id else ";\n\r"
+        reason = next((f"it holds {c!r}" for c in breaks if c in text), None)
+    if reason:
+        raise ValueError(f"{what} {text!r} cannot be written to a .pb file: "
+                         f"{reason}")
+    return text
+
+
 def write_pb(instance: PBInstance, profile: ApprovalProfile,
              meta: Optional[Mapping[str, str]] = None) -> str:
     """Serialize an instance/profile pair to `.pb` text.
 
     The required meta keys (budget, num_projects, num_votes, vote_type) are
     derived from the data; supplying a conflicting value is an error.  Extra
-    meta keys are written after the derived ones, in the given order.
+    meta keys are written after the derived ones, in the given order.  A
+    project id, meta key or meta value that `parse_pb` would not read back
+    unchanged raises ValueError naming it.
     """
     derived = {
         "budget": format_decimal(instance.budget),
@@ -289,7 +316,10 @@ def write_pb(instance: PBInstance, profile: ApprovalProfile,
                     f"meta key {key!r} is derived from the data "
                     f"({derived[key]}); conflicting value {value!r}")
             continue
-        extra.append((key, str(value)))
+        extra.append((_cell(str(key), "meta key"),
+                      _cell(str(value), f"meta {key!r} value")))
+    for p in instance.projects:
+        _cell(p.id, "project id", project_id=True)
     profile.validate(instance)
 
     lines = ["META", "key;value"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -326,8 +327,9 @@ def oracle_parse_pb(text: str
     """
     sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    # a line ends at \n, \r\n or \r, and at no other line boundary of
+    # `str.splitlines`; a piece after the last break is blank
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         if line in ("META", "PROJECTS", "VOTES"):
             if line in sections:
                 raise PabulibParseError(lineno, f"duplicate section {line}")

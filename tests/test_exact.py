@@ -77,7 +77,7 @@ def test_random_tiebreak_is_deterministic(city_pair):
 
 
 def test_search_budget_exceeded(city_pair):
-    # on city, solve_pav takes 41 nodes, solve_av 32 and the rp optimum 19
+    # on city, solve_pav takes 41 nodes, solve_av 32 and the rp optimum 34
     inst, prof = city_pair
     with pytest.raises(SearchBudgetExceeded, match=(
             r"^exceeded search budget of 3 nodes "
@@ -190,6 +190,16 @@ def test_pav_optimum_of_a_voter_scale_election_is_pinned():
     assert search.stats.nodes == 99  # 11,507 under the per-voter cap
 
 
+def test_cc_worst_sw_at_voter_scale_is_pinned():
+    # branching in density order, this select took 1,412,099 nodes
+    inst, prof = gen_euclidean(0, EuclideanConfig(n_voters=200,
+                                                  n_projects=30))
+    search = _Search(compile_election(inst, prof), "rp", SearchBudget())
+    assert search.select(TieBreakPolicy.worst_sw()) == frozenset(
+        {"p005", "p011", "p012", "p018", "p025", "p029"})
+    assert search.stats.nodes == 197_383
+
+
 def test_pav_at_a_thousand_voters_takes_few_nodes():
     # the per-voter cap and the marginal-gain knapsack took 262,243 nodes
     # to find this optimum; the piece knapsack reads 2,619 at the root
@@ -211,19 +221,22 @@ def test_pav_at_a_thousand_voters_takes_few_nodes():
 # exceed: the optimum search before rp's bound counted each uncovered voter
 # at most once, and before pav's bound was the piece knapsack, and the
 # optimum search plus the separate tie search that `select` used to need.
+# rp branches by reach (see `exact`); on city its first descent funds
+# district A alone, so its optimum takes 34 nodes where the density order,
+# whose first leaf was optimal, took 19.
 #   (instance, objective): (optimum before, optimum,
 #                           (optimum + ties before), (one pass))
 PINNED_NODES = {
     ("city", "sw"): (32, 32, (62, 62, 62), (32, 32, 32)),
-    ("city", "rp"): (661, 19, (1643, 1591, 1643), (979, 927, 979)),
+    ("city", "rp"): (661, 34, (1643, 1591, 1643), (1008, 552, 1008)),
     ("city", "pav"): (114, 32, (227, 227, 227), (41, 41, 41)),
     ("euclidean-desk-1", "sw"): (31, 31, (62, 62, 60), (31, 31, 31)),
-    ("euclidean-desk-1", "rp"): (759, 181, (1908, 1772, 1908),
-                                 (687, 575, 687)),
+    ("euclidean-desk-1", "rp"): (759, 179, (1908, 1772, 1908),
+                                 (635, 573, 635)),
     ("euclidean-desk-1", "pav"): (129, 37, (258, 258, 258), (37, 37, 37)),
     ("euclidean-desk-2", "sw"): (23, 23, (50, 50, 48), (27, 27, 25)),
-    ("euclidean-desk-2", "rp"): (921, 119, (2860, 2330, 2860),
-                                 (1401, 917, 1401)),
+    ("euclidean-desk-2", "rp"): (921, 77, (2860, 2330, 2860),
+                                 (1175, 785, 1175)),
     ("euclidean-desk-2", "pav"): (57, 27, (114, 114, 114), (27, 27, 27)),
 }
 
@@ -232,15 +245,15 @@ PINNED_NODES = {
 #   (nodes, knapsack prunes, leaves, maximal optima, restarts)
 PINNED_STATS = {
     ("city", "sw"): ((32, 9, 5, 0, 0), (32, 9, 5, 1, 2)),
-    ("city", "rp"): ((19, 8, 2, 0, 0), (979, 23, 377, 78, 1)),
+    ("city", "rp"): ((34, 7, 7, 0, 0), (1008, 19, 380, 78, 4)),
     ("city", "pav"): ((32, 10, 3, 0, 0), (41, 10, 5, 2, 2)),
     ("euclidean-desk-1", "sw"): ((31, 13, 3, 0, 0), (31, 13, 3, 2, 2)),
-    ("euclidean-desk-1", "rp"): ((181, 82, 9, 0, 0),
-                                 (687, 210, 134, 28, 2)),
+    ("euclidean-desk-1", "rp"): ((179, 77, 13, 0, 0),
+                                 (635, 171, 147, 28, 5)),
     ("euclidean-desk-1", "pav"): ((37, 15, 4, 0, 0), (37, 15, 4, 1, 1)),
     ("euclidean-desk-2", "sw"): ((23, 10, 2, 0, 0), (27, 10, 4, 3, 1)),
-    ("euclidean-desk-2", "rp"): ((119, 59, 1, 0, 0),
-                                 (1401, 298, 403, 68, 1)),
+    ("euclidean-desk-2", "rp"): ((77, 35, 4, 0, 0),
+                                 (1175, 224, 364, 68, 3)),
     ("euclidean-desk-2", "pav"): ((27, 11, 3, 0, 0), (27, 11, 3, 1, 2)),
 }
 

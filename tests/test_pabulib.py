@@ -119,6 +119,57 @@ def test_extra_meta_preserved_and_conflicts_rejected(city_pair):
         write_pb(inst, prof, {"budget": "999"})
 
 
+def _unwritable(ids, meta, field, value, reason, name):
+    return pytest.param(ids, meta, f"{field} {value!r} cannot be written to "
+                        f"a .pb file: {reason}", id=name)
+
+
+UNWRITABLE = [
+    _unwritable([""], {}, "project id", "", "it is empty", "empty-id"),
+    _unwritable([" a"], {}, "project id", " a",
+                "it has surrounding whitespace", "id-leading-blank"),
+    _unwritable(["a\t"], {}, "project id", "a\t",
+                "it has surrounding whitespace", "id-trailing-tab"),
+    _unwritable(["a,b"], {}, "project id", "a,b", "it holds ','", "id-comma"),
+    _unwritable(["a;b"], {}, "project id", "a;b", "it holds ';'",
+                "id-semicolon"),
+    _unwritable(["a\nb"], {}, "project id", "a\nb", "it holds '\\n'",
+                "id-lf"),
+    _unwritable(["a\rb"], {}, "project id", "a\rb", "it holds '\\r'",
+                "id-cr"),
+    _unwritable(["a"], {" k": "v"}, "meta key", " k",
+                "it has surrounding whitespace", "key-leading-blank"),
+    _unwritable(["a"], {"k;l": "v"}, "meta key", "k;l", "it holds ';'",
+                "key-semicolon"),
+    _unwritable(["a"], {"k\nl": "v"}, "meta key", "k\nl",
+                "it holds '\\n'", "key-lf"),
+    _unwritable(["a"], {"k": "v "}, "meta 'k' value", "v ",
+                "it has surrounding whitespace", "value-trailing-blank"),
+    _unwritable(["a"], {"k": "a;b"}, "meta 'k' value", "a;b",
+                "it holds ';'", "value-semicolon"),
+    _unwritable(["a"], {"k": "x\ny"}, "meta 'k' value", "x\ny",
+                "it holds '\\n'", "value-lf"),
+    _unwritable(["a"], {"k": "x\ry"}, "meta 'k' value", "x\ry",
+                "it holds '\\r'", "value-cr"),
+]
+
+
+@pytest.mark.parametrize("ids, meta, error", UNWRITABLE)
+def test_write_pb_rejects_what_would_not_read_back(ids, meta, error):
+    # parse_pb would strip ' a', drop '' from every vote, split a line at
+    # a line break and reject the rows that 'a,b' and 'a;b' make
+    inst = PBInstance(tuple(Project(pid, 10) for pid in ids), 100)
+    prof = ApprovalProfile((frozenset(ids),))
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        write_pb(inst, prof, meta)
+
+
+def test_a_comma_is_fine_outside_project_ids():
+    inst = PBInstance((Project("a", 10),), 100)
+    text = write_pb(inst, ApprovalProfile(()), {"description": "x, y"})
+    assert parse_pb(text)[2]["description"] == "x, y"
+
+
 def test_format_decimal():
     assert format_decimal(Fraction(1234567, 100)) == "12345.67"
     assert format_decimal(Fraction(5)) == "5"
@@ -325,6 +376,23 @@ def test_a_repeated_unknown_id_is_reported_on_its_first_row():
                        match=r"^line 13: .* unknown project id 'zz'$"):
         parse_pb(text)
     _same_as_oracle(text)
+
+
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_only_cr_and_lf_end_a_line(char):
+    # `str.splitlines` breaks at these as well, splitting the row in two
+    text = _pb_text([f"p1;100;a{char}b"], ["v1;p1"]).replace(
+        "project_id;cost", "project_id;cost;name")
+    inst, prof, _ = parse_pb(text)
+    assert inst.project_ids == ("p1",) and prof.ballots == (frozenset({"p1"}),)
+    _same_as_oracle(text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_a_lone_cr_ends_a_line_too(end):
+    assert parse_pb(_pb_text(TWO, ["v1;p1"], end=end))[:2] == \
+        parse_pb(_pb_text(TWO, ["v1;p1"]))[:2]
 
 
 def test_a_cell_that_needs_stripping_matches_a_clean_cell():
