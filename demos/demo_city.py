@@ -8,14 +8,22 @@ harmonic-score rules land in between.
 Run with:  python3 demos/demo_city.py
 """
 
-from fractions import Fraction
-
-from pbvoting.core import representation, social_welfare
-from pbvoting.exact import (TieBreakPolicy, optimum_value, solve_av, solve_cc,
+from pbvoting.bench import score_bundles
+from pbvoting.exact import (SearchBudget, TieBreakPolicy, solve_av, solve_cc,
                             solve_pav)
 from pbvoting.fairness import find_ejr_violation, max_t_cap
 from pbvoting.instances import city
 from pbvoting.sequential import rule_x, rule_x_eps, rule_x_pav, seq_pav
+
+LABELS = {
+    "AV": "AV   (max total approvals)",
+    "CC": "CC   (max voters covered)",
+    "PAV": "PAV  (max harmonic score)",
+    "sPAV": "sPAV (greedy harmonic)",
+    "RX": "RX   (equal shares)",
+    "RX-eps": "RX-e (equal shares + exhaust)",
+    "RX-PAV": "RX-PAV (equal shares + PAV)",
+}
 
 
 def describe(bundle: frozenset) -> str:
@@ -27,29 +35,29 @@ def main() -> None:
     print(f"budget {instance.budget}, {len(instance.projects)} projects, "
           f"{profile.n_voters} voters\n")
 
-    sw_opt = optimum_value("sw", instance, profile)
-    rp_opt = optimum_value("rp", instance, profile)
-    print(f"best attainable welfare {sw_opt}, best coverage {rp_opt}\n")
-
     worst_sw = TieBreakPolicy.worst_sw()
-    rules = {
-        "AV   (max total approvals)": solve_av(instance, profile, worst_sw),
-        "CC   (max voters covered)": solve_cc(instance, profile, worst_sw),
-        "PAV  (max harmonic score)": solve_pav(instance, profile, worst_sw),
-        "sPAV (greedy harmonic)": seq_pav(instance, profile),
-        "RX   (equal shares)": rule_x(instance, profile),
-        "RX-e (equal shares + exhaust)": rule_x_eps(instance, profile),
-        "RX-PAV (equal shares + PAV)": rule_x_pav(instance, profile),
+    bundles = {
+        "AV": solve_av(instance, profile, worst_sw),
+        "CC": solve_cc(instance, profile, worst_sw),
+        "PAV": solve_pav(instance, profile, worst_sw),
+        "sPAV": seq_pav(instance, profile),
+        "RX": rule_x(instance, profile),
+        "RX-eps": rule_x_eps(instance, profile),
+        "RX-PAV": rule_x_pav(instance, profile),
     }
+    # the ratios divide by the optima, which the AV and CC bundles attain
+    scores = score_bundles(instance, profile, bundles, SearchBudget())
+    print(f"best attainable welfare {scores['AV'][0]}, "
+          f"best coverage {scores['CC'][1]}\n")
+
     cap = max_t_cap(instance)
-    for name, bundle in rules.items():
-        sw = social_welfare(profile, bundle)
-        rp = representation(profile, bundle)
+    for rule, bundle in bundles.items():
+        sw, rp, util, rep = scores[rule]
         verdict = find_ejr_violation(instance, profile, bundle, cap)
-        print(f"{name}")
+        print(f"{LABELS[rule]}")
         print(f"  funds: {describe(bundle)}")
-        print(f"  welfare {sw} (ratio {Fraction(sw, sw_opt)}), "
-              f"coverage {rp} (ratio {Fraction(rp, rp_opt)}), "
+        print(f"  welfare {sw} (ratio {util}), "
+              f"coverage {rp} (ratio {rep}), "
               f"fairness: {verdict.status}")
         if verdict.witness is not None:
             group = sorted(verdict.witness.voters)

@@ -39,10 +39,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-from .bench import run_rule
-from .core import (ApprovalProfile, PBInstance, Project, as_fraction,
-                   representation, social_welfare)
-from .exact import SearchBudget, TieBreakPolicy, optimum_value
+from .bench import run_rule, score_bundles
+from .core import ApprovalProfile, PBInstance, Project, as_fraction
+from .exact import SearchBudget, TieBreakPolicy
 
 
 class Family(str, Enum):
@@ -272,7 +271,8 @@ def build(family: Family, **params) -> AdversarialCase:
 
 def verify(case: AdversarialCase,
            search_budget: SearchBudget = SearchBudget()) -> VerifyReport:
-    """Replay the target rule and check the claimed ratio and ceiling.
+    """Replay the target rule, score its bundle as `bench.score_bundles`
+    scores a row, and check the claimed ratio and ceiling.
 
     Ties go to the worst bundle for the ratio in question; sPAV, which has
     no tie set, falls back to cheapest-first.
@@ -281,12 +281,9 @@ def verify(case: AdversarialCase,
     worst = (TieBreakPolicy.worst_sw() if case.ratio_kind == "sw"
              else TieBreakPolicy.worst_rp())
     bundle = run_rule(case.target_rule, inst, prof, worst, search_budget)
-    if case.ratio_kind == "sw":
-        opt = optimum_value("sw", inst, prof, search_budget)
-        achieved = Fraction(social_welfare(prof, bundle), opt)
-    else:
-        opt = optimum_value("rp", inst, prof, search_budget)
-        achieved = Fraction(representation(prof, bundle), opt)
+    _, _, util, rep = score_bundles(inst, prof, {case.target_rule: bundle},
+                                    search_budget)[case.target_rule]
+    achieved = util if case.ratio_kind == "sw" else rep
     return VerifyReport(
         case=case,
         achieved_ratio=achieved,

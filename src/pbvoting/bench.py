@@ -12,10 +12,10 @@ A run is described by an :class:`ExperimentSpec`, which `spec_from_config`
 builds from the keys of `CONFIG_KEYS`; :func:`run_experiment`
 executes every instance x rule pair and returns one :class:`ResultRow` per
 pair, a failed pair included, with its reason.  `score_bundles`, which
-`pbbench solve` shares, scores the rows.  A row's sw and rp are read off the
-compiled election's voter bitsets (`core.compile_election`, already
-built by the rules): the sum of the funded projects' approver popcounts, and
-the popcount of their union.  The ratios divide by the instance's exact sw
+`pbbench solve`, `adversarial.verify` and the city demo share, scores the
+rows.  A row's sw and rp are read off the compiled election's voter
+bitsets (`core.compile_election`, already built by the rules): the sum of
+the funded projects' approver popcounts, and the popcount of their union.  The ratios divide by the instance's exact sw
 and rp optima.  An AV bundle attains the sw optimum and a CC bundle the rp
 optimum, so these are read off the AV and CC bundles when the spec has those
 rules; `optimum_value` searches only for an optimum whose rule is absent or

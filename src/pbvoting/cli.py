@@ -22,12 +22,12 @@ import sys
 from pathlib import Path
 
 from .adversarial import Family, build, default_sweeps, verify
-from .bench import (CONFIG_KEYS, aggregate, format_ratio, load_dataset,
-                    pabulib_files, parse_config, rows_to_csv, run_experiment,
-                    run_rule, score_bundles, spec_from_config,
+from .bench import (CONFIG_KEYS, _policy, aggregate, format_ratio,
+                    load_dataset, pabulib_files, parse_config, rows_to_csv,
+                    run_experiment, run_rule, score_bundles, spec_from_config,
                     summaries_to_csv, summaries_to_text)
 from .datagen import GENERATOR_NAMES, PRESETS, generate
-from .exact import SearchBudget, SearchBudgetExceeded, TieBreakPolicy
+from .exact import SearchBudget, SearchBudgetExceeded
 from .fairness import check_t_cap, find_ejr_violation
 from .pabulib import write_pb
 from .sequential import NoVotersError
@@ -56,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiebreak", default="lex-by-id")
     p.add_argument("--tcap")
     p.add_argument("--max-nodes")
-    p.add_argument("--tie-seed", type=int, default=0,
-                   help="seed for --tiebreak random")
 
     p = sub.add_parser(
         "bench", help="run an experiment, emit CSV/SVG",
@@ -125,8 +123,9 @@ def _cmd_solve(args) -> int:
     rule = spec.rules[0]
     budget = SearchBudget(spec.max_nodes)
     instance_id, inst, prof = _load_one("solve", spec.dataset, spec.seed)
-    bundle = run_rule(rule, inst, prof,
-                      TieBreakPolicy(spec.tiebreak, args.tie_seed), budget)
+    # random ties are drawn as for the matching `pbbench bench` row
+    bundle = run_rule(rule, inst, prof, _policy(spec, instance_id, rule),
+                      budget)
     sw, rp, util, rep = score_bundles(inst, prof, {rule: bundle}, budget)[rule]
     verdict = find_ejr_violation(inst, prof, bundle, spec.t_cap)
     print(f"instance    {instance_id}")

@@ -18,23 +18,26 @@ Lines end at LF, CRLF or CR, and at none of the other line boundaries of
 supported: the ``vote`` column holds a comma-separated list of project
 ids.  Extra columns are checked for their cell count and then ignored;
 `write_pb` writes only ``project_id;cost`` and ``voter_id;vote``, so they
-do not survive a parse/write cycle.  `parse_pb`
-also returns the META section as a mapping, unknown keys included.  All
-failures raise :class:`PabulibParseError` with a line number; the parser
-never leaks a bare exception on malformed input.
+do not survive a parse/write cycle.  `parse_pb` also returns the META
+section as a mapping, unknown keys included.  All failures raise
+:class:`PabulibParseError` with a line number; the parser never leaks a
+bare exception on malformed input.
 
-VOTES rows are read as a whole: every row is split into cells in one pass
-and all cell counts are checked at once.  A vote is the set of its
+One reader, `_table`, splits every PROJECTS or VOTES row at ``;`` in one
+pass, checks each row's cell count against the header's and then the
+needed columns; only the cells that are read are stripped.  A project id
+must be non-empty and hold no ``,``, or no vote could name it, and
+`write_pb` refuses such an id too.  A vote is the set of its
 comma-separated ids, each stripped, with empty ones dropped.  Each distinct
 vote cell is read once, into one frozenset that every row with that cell
 shares, and one union test checks every id of every vote against the
-project ids.  A vote whose ids, as written, are all non-empty project ids
-is that set already, since project ids are stripped cells; only when the
-union test fails are the rows walked in order, the ids of each failing
-cell stripped and, if one is still unknown, the first unknown id reported.
-The errors are checked in a fixed order: every row's cell count first, then
-the ``voter_id`` and ``vote`` columns, then the first unknown id, then the
-vote count.
+project ids.  A vote whose ids, as written, are all project ids is that
+set already, since project ids are stripped and non-empty; only when the
+union test fails are the rows walked in order, the ids of each failing cell
+stripped and, if one is still unknown, the first unknown id reported.  A
+table's errors come in a fixed order: every row's cell count, the needed
+columns, each row's cells in turn (a project's id and cost, a vote's ids),
+then the table's distinct project ids and its row count.
 """
 
 from __future__ import annotations
@@ -80,6 +83,19 @@ def _count(text: str, key: str, line: int) -> int:
             line, f"{key} must be an integer, got {text!r}") from None
 
 
+def _cell_fault(text: str, project_id: bool = False) -> Optional[str]:
+    """Why `text` would not read back unchanged from the cell it is written
+    to, or None: `parse_pb` strips each cell, splits the text into lines at
+    line breaks, a row at ``;`` and a vote at ``,``, and drops empty vote
+    ids, so that a project id must also be non-empty and hold no ``,``."""
+    if project_id and not text:
+        return "it is empty"
+    if text != text.strip():
+        return "it has surrounding whitespace"
+    breaks = ";\n\r," if project_id else ";\n\r"
+    return next((f"it holds {c!r}" for c in breaks if c in text), None)
+
+
 # A section: its header's line number, its rows' line numbers and its rows
 _Section = tuple[int, Sequence[int], Sequence[str]]
 
@@ -118,53 +134,39 @@ def _split_sections(text: str) -> dict[str, _Section]:
     return sections
 
 
-def _header(section: _Section, name: str) -> tuple[int, tuple[str, ...]]:
+def _table(section: _Section, name: str, needed: tuple[str, ...]
+           ) -> tuple[list[int], Sequence[int], list[list[str]]]:
+    """The PROJECTS or VOTES rows below the header row: the indices of the
+    `needed` columns, the rows' line numbers and their cells, split at
+    ``;`` as written.  Raises on the first row whose cell count is not the
+    header's, and then on the first needed column the header lacks."""
     _, linenos, rows = section
     if not rows:
         raise PabulibParseError(None, f"section {name} has no header row")
-    return linenos[0], tuple(h.strip() for h in rows[0].split(";"))
-
-
-def _width_error(section: str, lineno: int, cells: int, header_line: int,
-                 columns: tuple[str, ...]) -> PabulibParseError:
-    return PabulibParseError(
-        lineno, f"{section} row has {cells} cells, "
-        f"header (line {header_line}) has {len(columns)}")
-
-
-def _parse_table(section: _Section, name: str
-                 ) -> tuple[tuple[str, ...], list[tuple[int, tuple[str, ...]]]]:
-    header_line, columns = _header(section, name)
-    _, linenos, rows = section
-    data = []
-    for lineno, line in zip(linenos[1:], rows[1:]):
-        cells = tuple(c.strip() for c in line.split(";"))
-        if len(cells) != len(columns):
-            raise _width_error(name, lineno, len(cells), header_line,
-                               columns)
-        data.append((lineno, cells))
-    return columns, data
+    header_line, linenos = linenos[0], linenos[1:]
+    columns = [h.strip() for h in rows[0].split(";")]
+    split = [row.split(";") for row in rows[1:]]
+    if any(map(len(columns).__ne__, map(len, split))):
+        lineno, cells = next((lineno, cells)
+                             for lineno, cells in zip(linenos, split)
+                             if len(cells) != len(columns))
+        raise PabulibParseError(
+            lineno, f"{name} row has {len(cells)} cells, "
+            f"header (line {header_line}) has {len(columns)}")
+    for column in needed:
+        if column not in columns:
+            raise PabulibParseError(
+                None, f"{name} is missing column {column!r}")
+    return list(map(columns.index, needed)), linenos, split
 
 
 def _parse_votes(section: _Section, known: frozenset[str]
                  ) -> list[frozenset[str]]:
-    """The ballots of the VOTES rows, checked as `_parse_table` checks a
-    table, and then for their columns and project ids, in that order.
-    `known` holds the non-empty project ids."""
-    header_line, columns = _header(section, "VOTES")
-    linenos, rows = section[1][1:], section[2][1:]
-    split = [line.split(";") for line in rows]
-    if any(map(len(columns).__ne__, map(len, split))):
-        for lineno, cells in zip(linenos, split):
-            if len(cells) != len(columns):
-                raise _width_error("VOTES", lineno, len(cells), header_line,
-                                   columns)
-    for needed in ("voter_id", "vote"):
-        if needed not in columns:
-            raise PabulibParseError(
-                None, f"VOTES is missing column {needed!r}")
-    vote_col = columns.index("vote")
-    cells = [row[vote_col] for row in split]
+    """The ballots of the VOTES rows, checked by `_table` and then for
+    their ids against the project ids `known`."""
+    (_, vote_col), linenos, rows = _table(section, "VOTES",
+                                          ("voter_id", "vote"))
+    cells = [row[vote_col] for row in rows]
     votes = {cell: frozenset(cell.split(",")) for cell in set(cells)}
     if not known.issuperset(frozenset().union(*votes.values())):
         # in row order, so that the first unknown id is the one reported
@@ -215,23 +217,24 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
     num_projects, num_votes = (_count(meta[key], key, meta_line[key])
                                for key in ("num_projects", "num_votes"))
 
-    pcols, prows = _parse_table(sections["PROJECTS"], "PROJECTS")
-    for needed in ("project_id", "cost"):
-        if needed not in pcols:
-            raise PabulibParseError(None, f"PROJECTS is missing column {needed!r}")
-    id_col, cost_col = pcols.index("project_id"), pcols.index("cost")
+    (id_col, cost_col), linenos, rows = _table(
+        sections["PROJECTS"], "PROJECTS", ("project_id", "cost"))
     projects = []
-    for lineno, cells in prows:
-        pid = cells[id_col]
-        cost = _decimal_fraction(cells[cost_col], lineno, f"project {pid!r}")
+    for lineno, cells in zip(linenos, rows):
+        pid, cost_text = cells[id_col].strip(), cells[cost_col].strip()
+        reason = _cell_fault(pid, project_id=True)
+        if reason:  # no vote could name the project
+            raise PabulibParseError(
+                lineno, f"project id {pid!r} cannot be voted for: {reason}")
+        cost = _decimal_fraction(cost_text, lineno, f"project {pid!r}")
         if cost <= 0:
             raise PabulibParseError(
-                lineno, f"project {pid!r} has non-positive cost {cells[cost_col]}")
+                lineno, f"project {pid!r} has non-positive cost {cost_text}")
         projects.append(Project(pid, cost))
     if not projects:
         raise PabulibParseError(sections["PROJECTS"][0],
                                 "PROJECTS has no project rows")
-    known = {p.id for p in projects}
+    known = frozenset(p.id for p in projects)
     if len(known) != len(projects):
         raise PabulibParseError(None, "duplicate project ids in PROJECTS")
     if num_projects != len(projects):
@@ -239,8 +242,7 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
             None, f"num_projects={meta['num_projects']} but "
             f"PROJECTS has {len(projects)} rows")
 
-    # a vote never names the empty id: its empty ids are dropped
-    ballots = _parse_votes(sections["VOTES"], frozenset(known - {""}))
+    ballots = _parse_votes(sections["VOTES"], known)
     if num_votes != len(ballots):
         raise PabulibParseError(
             None, f"num_votes={meta['num_votes']} but VOTES has "
@@ -276,16 +278,8 @@ def format_decimal(value: Fraction) -> str:
 
 
 def _cell(text: str, what: str, project_id: bool = False) -> str:
-    """`text`, checked to read back unchanged from the cell it is written
-    to: `parse_pb` strips each cell, splits the text into lines at line
-    breaks, a row at ``;`` and a vote at ``,``, and drops empty vote ids."""
-    if project_id and not text:
-        reason = "it is empty"
-    elif text != text.strip():
-        reason = "it has surrounding whitespace"
-    else:
-        breaks = ";\n\r," if project_id else ";\n\r"
-        reason = next((f"it holds {c!r}" for c in breaks if c in text), None)
+    """`text`, checked by `_cell_fault` to read back unchanged."""
+    reason = _cell_fault(text, project_id)
     if reason:
         raise ValueError(f"{what} {text!r} cannot be written to a .pb file: "
                          f"{reason}")

@@ -319,11 +319,12 @@ def oracle_parse_pb(text: str
     """`pabulib.parse_pb` written plainly, with no shortcut for votes.
 
     Every table row is split into stripped cells, and every row's cell count
-    is checked before the VOTES columns and the vote ids.  Each vote's ids
-    are stripped one by one, empty ones skipped and unknown ones rejected.
-    Decimals and counts are read with the library's helpers, and every
-    failure is the library's `PabulibParseError`, with the same message and
-    line that `parse_pb` must give.
+    is checked before the VOTES columns and the vote ids.  A project id that
+    is empty or holds ``,`` is rejected, since no vote could name it.  Each
+    vote's ids are stripped one by one, empty ones skipped and unknown ones
+    rejected.  Decimals and counts are read with the library's helpers, and
+    every failure is the library's `PabulibParseError`, with the same
+    message and line that `parse_pb` must give.
     """
     sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
     current: Optional[str] = None
@@ -395,6 +396,10 @@ def oracle_parse_pb(text: str
     projects = []
     for lineno, cells in prows:
         pid = cells[id_col]
+        if not pid or "," in pid:  # a vote could not name it
+            raise PabulibParseError(
+                lineno, f"project id {pid!r} cannot be voted for: "
+                + ("it is empty" if not pid else "it holds ','"))
         cost = _decimal_fraction(cells[cost_col], lineno, f"project {pid!r}")
         if cost <= 0:
             raise PabulibParseError(

@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,22 @@ def test_solve_prints_ratios_against_the_optima(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[4:6] == ["sw          380 (ratio 0.475000)",
                           "rp          200 (ratio 1.000000)"]
+
+
+@pytest.mark.parametrize("dataset", ["city", "euclidean-desk"])
+@pytest.mark.parametrize("rule", ["CC", "PAV"])
+def test_solve_picks_random_ties_as_bench_does(dataset, rule, tmp_path,
+                                               capsys):
+    flags = ["--dataset", dataset, "--seed", "3", "--tiebreak", "random"]
+    assert main(["solve", "--rule", rule, *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = tmp_path / "rows.csv"
+    assert main(["bench", "--rules", rule, "--instances", "1",
+                 "--out-csv", str(rows), *flags]) == 0
+    [row] = csv.DictReader(rows.read_text(encoding="utf-8").splitlines())
+    assert lines[4:6] == [
+        f"sw          {row['sw']} (ratio {row['util_ratio']})",
+        f"rp          {row['rp']} (ratio {row['rep_ratio']})"]
 
 
 def test_solve_runs_a_pabulib_sized_election(tmp_path, capsys):

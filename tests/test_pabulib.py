@@ -353,6 +353,7 @@ TWO = ["p1;100", "p2;200"]
     (TWO, ["v1;p1,p2;", "v2;p2"], "voter_id;vote;"),
     (["p1;100", ";50"], ["v1;", "v2;p1,,", "v3; "], "voter_id;vote"),
     (["p1;100", " ;50", "p 2;10"], ["v1;p 2, ,p1", "v2;p2"], "voter_id;vote"),
+    (["p1;100", "p 2;10"], ["v1;p 2, ,p1", "v2;p2"], "voter_id;vote"),
 ])
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 def test_parse_matches_the_oracle_on_awkward_votes(projects, votes, header,
@@ -361,6 +362,20 @@ def test_parse_matches_the_oracle_on_awkward_votes(projects, votes, header,
     # blank lines between the votes are skipped, but count in line numbers
     spaced = _pb_text(projects, [row + end for row in votes], header, end=end)
     _same_as_oracle(spaced)
+
+
+@pytest.mark.parametrize("row, error", [
+    (";50", "project id '' cannot be voted for: it is empty"),
+    (" \t;50", "project id '' cannot be voted for: it is empty"),
+    ("a,b;0", "project id 'a,b' cannot be voted for: it holds ','"),
+])
+def test_a_project_id_that_no_vote_can_name_is_refused(row, error):
+    # the id is checked before the cost, on the project's own line
+    text = _pb_text(["p1;100", row], ["v1;p1"])
+    with pytest.raises(PabulibParseError,
+                       match="^" + re.escape(f"line 9: {error}") + "$"):
+        parse_pb(text)
+    _same_as_oracle(text)
 
 
 def test_rows_with_equal_vote_cells_share_one_ballot():
@@ -435,3 +450,12 @@ def pb_texts(draw):
 @given(pb_texts())
 def test_parse_matches_the_oracle_on_generated_files(text):
     _same_as_oracle(text)
+
+
+@given(pb_texts())
+def test_a_parsed_file_writes_back_to_the_same_election(text):
+    try:
+        inst, prof, _ = parse_pb(text)
+    except PabulibParseError:
+        return
+    assert parse_pb(write_pb(inst, prof))[:2] == (inst, prof)
