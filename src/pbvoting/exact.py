@@ -71,19 +71,47 @@ and the walk stops where the money runs out.
 than the unfloored test.  A `solve_*` call makes one pass that finds the
 optimum and picks among its ties together.  It prunes a branch only when
 floor(bound) < incumbent, the best leaf score so far, which for an integer
-incumbent holds exactly when bound < incumbent.  The incumbent never exceeds
-the optimum and the bound is admissible, so every maximal optimum is
-visited, in the same depth-first order as by a search that knew the optimum
-and pruned at floor(bound) < opt.  That holds for any admissible bound, so
-a tighter one changes the node counts and never a pick.  Maximal leaves that
-tie the incumbent feed the policy's running pick, and a strictly better
-leaf restarts it.  For random the restart re-seeds the generator, so the
-reservoir draws run over the maximal optima alone, in that order and from
-the policy's seed: the pick does not depend on the leaves seen before the
-optimum.  The worst-sw/worst-rp cut on the secondary score fires only where
+incumbent holds exactly when bound < incumbent.  Both searches start rp's
+incumbent from the budgeted greedy cover (Khuller, Moss & Naor, IPL 1999),
+and sw's and pav's from 0.  The cover is a feasible bundle, so the
+incumbent never exceeds the optimum; the bound is admissible, so every
+maximal optimum is visited, in the same depth-first order as by a search
+that knew the optimum and pruned at floor(bound) < opt.  That holds for
+any admissible bound, so a tighter one changes the node counts and never a
+pick.  Maximal leaves that tie the incumbent feed the policy's running
+pick, and a strictly better leaf restarts it.  For random the restart
+re-seeds the generator, so the reservoir draws run over the maximal optima
+alone, in that order and from the policy's seed: the pick does not depend
+on the leaves seen before the optimum; where the greedy cover is optimal,
+no leaf restarts the pick and the generator is in the state that a re-seed
+would leave.
+The worst-sw/worst-rp cut on the secondary score fires only where
 floor(bound) <= incumbent: a branch that may still beat the incumbent can
 hold the optimum, whatever its secondary score.  The bound is at least the
-score, so a node whose score reaches the cut is not bounded.
+score, so a node whose score reaches the cut is not bounded, and at most
+the gains of every approval (for rp, n), so a node whose cut exceeds that
+is pruned without the walk: an rp optimum whose greedy cover reaches every
+voter takes one node.
+
+Maximality costs O(1) per node.  A path carries `out`, the least cost that
+it excluded while the project was affordable; a project excluded as
+unaffordable costs more than any later residual.  So a leaf is maximal iff
+its residual is below `out`.  A node whose residual, less all that its
+undecided projects could spend, is still at least `out` has no maximal leaf
+below it and is pruned, in every search: `optimum` still reaches a maximal
+extension of each optimum, and `select` meets maximal leaves only.
+
+Under worst-sw, rp's `select` takes the exclude branch first.  The pick is
+the least (sw, ids) over the whole tie set and no cut removes a tie that
+could be it, so the order cannot change it; but low-sw optima come first,
+and the secondary cut prunes sooner.  Under rp it also knows more: a leaf
+that ties the incumbent covers incumbent - rp more voters, each with at
+least one more approval, so its sw is at least sw + incumbent - rp.
+Every other search branches include-first.  random must: its reservoir
+draws follow the visiting order.  Under worst-rp every rp tie has the
+same rp, so the cut never fires and the order would buy nothing.  sw and
+pav start from no incumbent near the optimum, and exclusion-first made
+their worst-sw selects on the desk corpus over twenty times larger.
 
 No search keeps state per voter group.  sw and rp keep the funded
 approvals as one bitset, the voters with at least one, and pav as levels,
@@ -98,8 +126,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from heapq import heappop, heappush
-from operator import mul
+from itertools import accumulate
+from operator import mul, or_
 from typing import Callable, Optional
 
 from .core import (ApprovalProfile, Election, PBInstance, compile_election,
@@ -157,15 +187,19 @@ class SearchBudget:
 class SearchStats:
     """What one `_Search` did; every count is deterministic for its input.
 
-    `knapsack_prunes` counts the branches whose bound fell below the cut.
-    `optima` counts the maximal leaves of `select` that tie its final
-    incumbent: the whole tie set, up to symmetry breaking, except where the
-    worst-sw/worst-rp cut skips some.  `restarts` counts the leaves of
-    `select` that beat its incumbent and so restarted the pick.  `optimum`
-    looks for neither and leaves both 0.
+    `knapsack_prunes` counts the branches whose bound fell below the cut,
+    and `maximality_prunes` those with no maximal leaf, non-maximal leaves
+    included; `leaves` counts the maximal leaves reached.  `optima` counts
+    the maximal leaves of `select` that tie its final incumbent: the whole
+    tie set, up to symmetry breaking, except where the worst-sw/worst-rp cut
+    skips some.  `restarts` counts the leaves of `select` that beat its
+    incumbent and so restarted the pick.  rp's incumbent starts at the
+    greedy cover, so where that cover is optimal rp's `select` makes no
+    restart.  `optimum` looks for neither and leaves both 0.
     """
     nodes: int = 0
     knapsack_prunes: int = 0
+    maximality_prunes: int = 0
     leaves: int = 0
     optima: int = 0
     restarts: int = 0
@@ -217,6 +251,9 @@ class _Search:
         self.density_scale = [scale[k] for k in order]
         self.static = [static[k] for k in order]
         self.masks = [election.project_masks[k] for k in order]
+        # suffix_cost[idx]: the most that projects idx.. can spend
+        self.suffix_cost = list(accumulate(reversed(self.costs), initial=0))
+        self.suffix_cost.reverse()
 
         # symmetry breaking: twins (see `core.Election`) are
         # interchangeable, so within each class only canonical prefixes
@@ -234,6 +271,8 @@ class _Search:
                      "pav": harmonic_gains(depth)}[objective]
         self.scale = self.gain[0]
         self.everyone = (1 << election.n_voters) - 1
+        # no bound exceeds every approval's first gain, nor rp's n
+        self.top = election.n_voters if reach else self.scale * sum(static)
         # sw's and pav's walk, (density, j, v = static) in the fixed order,
         # which ends on the projects without approvers, and then a stop
         self.walk = [(v * k, j, v) for j, (v, k) in enumerate(zip(
@@ -249,6 +288,7 @@ class _Search:
         self.funded = ([self.everyone] + [0] * depth if objective == "pav"
                        else 0)
         self.saved: list = []  # `funded` before each funding
+        self.exclude_first = False  # branch order, set by `select`
 
     # -- state -------------------------------------------------------------
 
@@ -347,11 +387,43 @@ class _Search:
                     k += 1
         return bound
 
-    def _is_maximal(self, residual: int) -> bool:
-        for j in range(self.m):
-            if not self.chosen[j] and self.costs[j] <= residual:
-                return False
-        return True
+    def _greedy(self) -> list[int]:
+        """The budgeted greedy cover, or the affordable project of most
+        approvers where that reaches more voters (Khuller, Moss & Naor, IPL
+        1999), as positions in the fixed order.
+
+        The cover takes, while one is affordable and reaches someone new,
+        the project of most uncovered approvers per unit cost, compared as
+        integers, the first in the fixed order on ties.
+        """
+        costs, masks, scale = self.costs, self.masks, self.density_scale
+        cover, covered, residual = [], 0, self.budget
+        while True:
+            free, pick, most = self.everyone ^ covered, None, 0
+            for j in range(self.m):
+                if costs[j] <= residual:
+                    density = (masks[j] & free).bit_count() * scale[j]
+                    if density > most:
+                        pick, most = j, density
+            if pick is None:
+                break
+            cover.append(pick)
+            covered |= masks[pick]
+            residual -= costs[pick]
+        single = max((j for j in range(self.m) if costs[j] <= self.budget),
+                     key=self.static.__getitem__, default=None)
+        if single is not None and self.static[single] > covered.bit_count():
+            return [single]
+        return cover
+
+    def _seed(self) -> int:
+        """A value that some bundle attains, to start the incumbent from:
+        for rp the voters that the greedy cover reaches, otherwise the
+        root's score."""
+        if self.objective != "rp":
+            return self.score
+        return reduce(or_, (self.masks[j] for j in self._greedy()),
+                      0).bit_count()
 
     # -- phases ------------------------------------------------------------
 
@@ -360,13 +432,13 @@ class _Search:
 
         A branch is pruned when its bound does not exceed the incumbent.
         """
-        best = self.score
+        best = self._seed()
 
         def leaf(residual):
             nonlocal best
             best = max(best, self.score)
 
-        self._dfs(0, self.budget, leaf, lambda: best + 1)
+        self._dfs(0, self.budget, self.budget + 1, leaf, lambda: best + 1)
         return best
 
     def select(self, policy: TieBreakPolicy) -> frozenset:
@@ -376,17 +448,23 @@ class _Search:
         strictly better leaf restarts the pick (see the module docstring).
         lex-by-id, cheapest-first, worst-sw and worst-rp keep the least
         (secondary key, sorted ids) seen.  worst-sw and worst-rp also cut a
-        branch that can at best tie the incumbent and whose partial
-        secondary score already exceeds the pick's, as both scores only
-        grow when projects are added.  random keeps one bundle by reservoir
-        sampling, uniform over the canonical tie set (twins taken lowest id
-        first), in the search's visiting order.
+        branch that can at best tie the incumbent and whose leaves' secondary
+        score would already exceed the pick's, as both scores only grow when
+        projects are added; under rp, a leaf that ties the incumbent adds at
+        least one approval for each voter it still has to cover.  rp
+        branches exclusion-first under worst-sw, which cannot change its
+        pick, the least key over the whole tie set.  random keeps one
+        bundle by reservoir sampling, uniform over the canonical tie set
+        (twins taken lowest id first), in the search's include-first
+        visiting order.
         """
         self.phase = "ties"
         variant = policy.variant
         rng = random.Random(policy.seed) if variant == "random" else None
         secondary = {"worst-sw": "sw", "worst-rp": "rp"}.get(variant)
-        incumbent = self.score
+        covers = self.exclude_first = (self.objective == "rp"
+                                       and secondary == "sw")
+        incumbent = self._seed()
         best: Optional[tuple] = None
         stats = self.stats
 
@@ -397,7 +475,7 @@ class _Search:
                 stats.restarts += 1
                 if rng is not None:
                     rng.seed(policy.seed)
-            if self.score < incumbent or not self._is_maximal(residual):
+            if self.score < incumbent:
                 return
             stats.optima += 1
             ids = tuple(sorted(self.ids[j] for j in range(self.m)
@@ -417,34 +495,55 @@ class _Search:
 
         def cut():
             # a branch that cannot beat the pick's secondary key survives
-            # only if it can beat the incumbent
-            return incumbent + (secondary is not None and best is not None
-                                and getattr(self, secondary) > best[0])
+            # only if it can beat the incumbent.  Under rp, a leaf below
+            # that ties it covers incumbent - rp more voters; where that is
+            # negative, the score already reaches any cut
+            if best is None or secondary is None:
+                return incumbent
+            least = getattr(self, secondary)
+            if covers:
+                least += incumbent - self.rp
+            return incumbent + (least > best[0])
 
-        self._dfs(0, self.budget, leaf, cut)
+        self._dfs(0, self.budget, self.budget + 1, leaf, cut)
         assert best is not None, "an optimum always has a maximal extension"
         return frozenset(best[-1])
 
-    def _dfs(self, idx: int, residual: int, leaf: Callable, cut: Callable):
-        """Visit the branch below idx; prune where the bound is below cut()."""
+    def _dfs(self, idx: int, residual: int, out: int, leaf: Callable,
+             cut: Callable):
+        """Visit the branch below idx; prune where the bound is below cut()
+        or where no leaf is maximal.  `out` is the least cost that the path
+        excluded while it was affordable (budget + 1 if none)."""
         self._tick()
         while idx < self.m and self.costs[idx] > residual:
             idx += 1  # forced exclusion: project no longer affordable
+        # every leaf below keeps at least residual - suffix_cost[idx], and a
+        # leaf is maximal iff what it keeps buys no excluded project
+        if residual - self.suffix_cost[idx] >= out:
+            self.stats.maximality_prunes += 1
+            return
         if idx == self.m:
             self.stats.leaves += 1
             leaf(residual)
             return
         c = cut()
-        # the bound is at least the score, so it can prune only below c
-        if self.score < c and self._bound(idx, residual) < c:
+        # the bound is at least the score and at most top, so it can prune
+        # only below c, and prunes without its walk above top
+        if self.score < c and (c > self.top or self._bound(idx, residual) < c):
             self.stats.knapsack_prunes += 1
             return
         prev = self.prev_in_class[idx]
-        if prev is None or self.chosen[prev]:
+        include = prev is None or self.chosen[prev]
+        cost = self.costs[idx]
+        passed = out if out < cost else cost  # out once idx is excluded
+        if self.exclude_first:
+            self._dfs(idx + 1, residual, passed, leaf, cut)
+        if include:
             rest = self._fund(idx, residual, 1)
-            self._dfs(idx + 1, rest, leaf, cut)
+            self._dfs(idx + 1, rest, out, leaf, cut)
             self._fund(idx, residual, -1)
-        self._dfs(idx + 1, residual, leaf, cut)
+        if not self.exclude_first:
+            self._dfs(idx + 1, residual, passed, leaf, cut)
 
 
 def solve_av(instance: PBInstance, profile: ApprovalProfile,

@@ -77,7 +77,8 @@ def test_random_tiebreak_is_deterministic(city_pair):
 
 
 def test_search_budget_exceeded(city_pair):
-    # on city, solve_pav takes 41 nodes, solve_av 32 and the rp optimum 34
+    # on city, solve_pav takes 41 nodes and solve_av 32; city's rp optimum
+    # takes 1, and euclidean-desk-1's 91
     inst, prof = city_pair
     with pytest.raises(SearchBudgetExceeded, match=(
             r"^exceeded search budget of 3 nodes "
@@ -85,7 +86,8 @@ def test_search_budget_exceeded(city_pair):
         solve_pav(inst, prof, search_budget=SearchBudget(max_nodes=3))
     with pytest.raises(SearchBudgetExceeded,
                        match="in the optimum phase of the rp search$"):
-        optimum_value("rp", inst, prof, SearchBudget(max_nodes=10))
+        optimum_value("rp", *generate("euclidean-desk", 1),
+                      SearchBudget(max_nodes=10))
     with pytest.raises(SearchBudgetExceeded,
                        match="of 20 nodes in the ties phase of the sw search$"):
         solve_av(inst, prof, search_budget=SearchBudget(max_nodes=20))
@@ -169,13 +171,17 @@ def test_secondary_cut_spares_a_branch_that_can_beat_the_incumbent():
         assert solve_av(inst, prof, policy) == frozenset("yz")
 
 
-@pytest.mark.parametrize("n_voters, n_projects", [(200, 30), (1000, 40)])
+@pytest.mark.parametrize("n_voters, n_projects",
+                         [(200, 30), (1000, 40), (5000, 60)])
 def test_rp_optimum_of_a_large_election_takes_few_nodes(n_voters, n_projects):
     # a coverage bound that counts an uncovered voter once for each
-    # affordable project they approve ran past 300,000 nodes on both
+    # affordable project they approve ran past 300,000 nodes on the first
+    # two; starting from 0, the piece knapsack took 29 and 115 nodes, and
+    # over 100,000 on the third.  The greedy cover reaches every voter, and
+    # no rp bound exceeds n, so the root is pruned
     inst, prof = gen_euclidean(0, EuclideanConfig(n_voters=n_voters,
                                                   n_projects=n_projects))
-    assert optimum_value("rp", inst, prof, SearchBudget(1000)) == n_voters
+    assert optimum_value("rp", inst, prof, SearchBudget(1)) == n_voters
 
 
 def test_pav_optimum_of_a_voter_scale_election_is_pinned():
@@ -191,13 +197,28 @@ def test_pav_optimum_of_a_voter_scale_election_is_pinned():
 
 
 def test_cc_worst_sw_at_voter_scale_is_pinned():
-    # branching in density order, this select took 1,412,099 nodes
+    # branching in density order, this select took 1,412,099 nodes; in
+    # reach order, from an incumbent of 0, include-first and without the
+    # maximality cut, 197,383
     inst, prof = gen_euclidean(0, EuclideanConfig(n_voters=200,
                                                   n_projects=30))
     search = _Search(compile_election(inst, prof), "rp", SearchBudget())
     assert search.select(TieBreakPolicy.worst_sw()) == frozenset(
         {"p005", "p011", "p012", "p018", "p025", "p029"})
-    assert search.stats.nodes == 197_383
+    assert search.stats.nodes == 30_295
+
+
+def test_cc_worst_sw_at_a_thousand_voters_is_pinned():
+    # in reach order, from an incumbent of 0, include-first and without the
+    # maximality cut, this select took 431,229 nodes and 6 restarts
+    inst, prof = gen_euclidean(0, EuclideanConfig(n_voters=1000,
+                                                  n_projects=40))
+    search = _Search(compile_election(inst, prof), "rp", SearchBudget())
+    assert search.select(TieBreakPolicy.worst_sw()) == frozenset(
+        {"p000", "p004", "p005", "p008", "p011", "p014", "p025", "p030",
+         "p032", "p033", "p038"})
+    assert search.stats.nodes == 75_519
+    assert search.stats.restarts == 0
 
 
 def test_pav_at_a_thousand_voters_takes_few_nodes():
@@ -221,40 +242,47 @@ def test_pav_at_a_thousand_voters_takes_few_nodes():
 # exceed: the optimum search before rp's bound counted each uncovered voter
 # at most once, and before pav's bound was the piece knapsack, and the
 # optimum search plus the separate tie search that `select` used to need.
-# rp branches by reach (see `exact`); on city its first descent funds
-# district A alone, so its optimum takes 34 nodes where the density order,
-# whose first leaf was optimal, took 19.
+# rp starts from the greedy cover's incumbent, prunes branches with no
+# maximal leaf and branches exclusion-first under worst-sw (see `exact`);
+# before, its (optimum, one pass) counts were city 34, (1008, 552, 1008),
+# euclidean-desk-1 179, (635, 573, 635) and euclidean-desk-2 77,
+# (1175, 785, 1175).  On city the cover reaches all 200 voters, so the
+# optimum search prunes its root.
 #   (instance, objective): (optimum before, optimum,
 #                           (optimum + ties before), (one pass))
 PINNED_NODES = {
     ("city", "sw"): (32, 32, (62, 62, 62), (32, 32, 32)),
-    ("city", "rp"): (661, 34, (1643, 1591, 1643), (1008, 552, 1008)),
+    ("city", "rp"): (661, 1, (1643, 1591, 1643), (654, 169, 654)),
     ("city", "pav"): (114, 32, (227, 227, 227), (41, 41, 41)),
     ("euclidean-desk-1", "sw"): (31, 31, (62, 62, 60), (31, 31, 31)),
-    ("euclidean-desk-1", "rp"): (759, 179, (1908, 1772, 1908),
-                                 (635, 573, 635)),
+    ("euclidean-desk-1", "rp"): (759, 91, (1908, 1772, 1908),
+                                 (445, 191, 445)),
     ("euclidean-desk-1", "pav"): (129, 37, (258, 258, 258), (37, 37, 37)),
     ("euclidean-desk-2", "sw"): (23, 23, (50, 50, 48), (27, 27, 25)),
-    ("euclidean-desk-2", "rp"): (921, 77, (2860, 2330, 2860),
-                                 (1175, 785, 1175)),
+    ("euclidean-desk-2", "rp"): (921, 65, (2860, 2330, 2860),
+                                 (1037, 111, 1037)),
     ("euclidean-desk-2", "pav"): (57, 27, (114, 114, 114), (27, 27, 27)),
 }
 
 
 # SearchStats of the optimum search and of the lex one pass:
-#   (nodes, knapsack prunes, leaves, maximal optima, restarts)
+#   (nodes, knapsack prunes, maximality prunes, maximal leaves,
+#    maximal optima, restarts)
+# A non-maximal leaf is a maximality prune, so sw's and pav's leaves fell
+# by their maximality prunes, and the rest of their counts are unchanged.
 PINNED_STATS = {
-    ("city", "sw"): ((32, 9, 5, 0, 0), (32, 9, 5, 1, 2)),
-    ("city", "rp"): ((34, 7, 7, 0, 0), (1008, 19, 380, 78, 4)),
-    ("city", "pav"): ((32, 10, 3, 0, 0), (41, 10, 5, 2, 2)),
-    ("euclidean-desk-1", "sw"): ((31, 13, 3, 0, 0), (31, 13, 3, 2, 2)),
-    ("euclidean-desk-1", "rp"): ((179, 77, 13, 0, 0),
-                                 (635, 171, 147, 28, 5)),
-    ("euclidean-desk-1", "pav"): ((37, 15, 4, 0, 0), (37, 15, 4, 1, 1)),
-    ("euclidean-desk-2", "sw"): ((23, 10, 2, 0, 0), (27, 10, 4, 3, 1)),
-    ("euclidean-desk-2", "rp"): ((77, 35, 4, 0, 0),
-                                 (1175, 224, 364, 68, 3)),
-    ("euclidean-desk-2", "pav"): ((27, 11, 3, 0, 0), (27, 11, 3, 1, 2)),
+    ("city", "sw"): ((32, 9, 1, 4, 0, 0), (32, 9, 1, 4, 1, 2)),
+    ("city", "rp"): ((1, 1, 0, 0, 0, 0), (654, 5, 128, 106, 78, 0)),
+    ("city", "pav"): ((32, 10, 1, 2, 0, 0), (41, 10, 1, 4, 2, 2)),
+    ("euclidean-desk-1", "sw"): ((31, 13, 0, 3, 0, 0), (31, 13, 0, 3, 2, 2)),
+    ("euclidean-desk-1", "rp"): ((91, 43, 1, 2, 0, 0),
+                                 (445, 117, 68, 38, 28, 0)),
+    ("euclidean-desk-1", "pav"): ((37, 15, 1, 3, 0, 0),
+                                  (37, 15, 1, 3, 1, 1)),
+    ("euclidean-desk-2", "sw"): ((23, 10, 0, 2, 0, 0), (27, 10, 0, 4, 3, 1)),
+    ("euclidean-desk-2", "rp"): ((65, 33, 0, 0, 0, 0),
+                                 (1037, 161, 277, 81, 68, 0)),
+    ("euclidean-desk-2", "pav"): ((27, 11, 0, 3, 0, 0), (27, 11, 0, 3, 1, 2)),
 }
 
 

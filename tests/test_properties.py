@@ -180,6 +180,73 @@ def test_exact_rules_match_oracle_under_every_policy(election):
                          TieBreakPolicy.random_seeded(seed)) == expected
 
 
+@given(mixed_unit_elections())
+def test_greedy_seed_is_the_coverage_of_a_feasible_bundle(election):
+    # the incumbent that rp's searches start from is attained, so it can
+    # never exceed the optimum
+    inst, prof = election
+    search = _Search(compile_election(inst, prof), "rp", SearchBudget())
+    cover = {search.ids[j] for j in search._greedy()}
+    assert inst.cost_of(cover) <= inst.budget
+    assert search._seed() == representation(prof, cover) <= \
+        oracle_search(inst, prof, "rp")[0]
+
+
+def test_picks_match_the_oracle_where_the_greedy_cover_falls_short():
+    # the cover takes the three cheap projects, denser than the expensive
+    # one, and then cannot afford it; the expensive project alone reaches
+    # 6 voters, more than the cover's 3, and the optima add one cheap
+    # project to it for 7
+    projects = (Project("big", 9),) + tuple(Project(f"c{j}", 1)
+                                             for j in range(3))
+    inst = PBInstance(projects, 10)
+    prof = ApprovalProfile((frozenset({"big"}),) * 6 + tuple(
+        frozenset({f"c{j}"}) for j in range(3)))
+    search = _Search(compile_election(inst, prof), "rp", SearchBudget())
+    assert [search.ids[j] for j in search._greedy()] == ["big"]
+    assert search._seed() == 6
+    assert search.select(TieBreakPolicy.lex()) == frozenset({"big", "c0"})
+    assert search.stats.restarts == 1
+    assert oracle_search(inst, prof, "rp")[0] == 7
+    test_exact_rules_match_oracle_under_every_policy.hypothesis.inner_test(
+        (inst, prof))
+
+
+@given(mixed_unit_elections(), st.data())
+def test_maximal_leaves_are_the_canonical_maximal_bundles(election, data):
+    # with no knapsack cut, the leaves that pass the O(1) maximality test
+    # are exactly the feasible bundles that no further project fits,
+    # canonical within each twin class, in either branch order: no
+    # maximal bundle is pruned, and no other one is let through
+    inst, prof = election
+    ids = inst.project_ids
+    for objective in ("sw", "rp", "pav"):
+        search = _Search(compile_election(inst, prof), objective,
+                         SearchBudget())
+        search.exclude_first = data.draw(st.booleans())
+        leaves = []
+
+        def leaf(residual):
+            chosen = [j for j in range(search.m) if search.chosen[j]]
+            # the scan that the O(1) test replaced
+            assert all(search.costs[j] > residual for j in range(search.m)
+                       if j not in chosen)
+            leaves.append(frozenset(search.ids[j] for j in chosen))
+
+        search._dfs(0, search.budget, search.budget + 1, leaf, lambda: 0)
+        order = search.ids
+        maximal = [bundle for k in range(len(ids) + 1)
+                   for bundle in map(frozenset, itertools.combinations(ids, k))
+                   if inst.cost_of(bundle) <= inst.budget
+                   and all(inst.cost(pid) > inst.budget - inst.cost_of(bundle)
+                           for pid in ids if pid not in bundle)
+                   and all(order[p] in bundle
+                           for j, p in enumerate(search.prev_in_class)
+                           if p is not None and order[j] in bundle)]
+        assert sorted(map(sorted, leaves)) == sorted(map(sorted, maximal))
+        assert search.stats.leaves == len(leaves)
+
+
 def _knapsack_relaxation(items, budget):
     """Best value of fractionally packed (value, cost) items."""
     total = Fraction(0)
