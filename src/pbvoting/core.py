@@ -6,6 +6,12 @@ global budget, and one approval ballot per voter.  Everything downstream
 types and scoring functions defined here, and the compiled form of an
 election (`compile_election`) that they all share.
 
+Voters are bitmasks at every stage.  A profile keeps each ballot as a
+project bitmask over its own list of project ids, and the scores count bits
+over those masks; the compiled election turns the masks around, into one
+voter bitset per project of the instance.  Frozenset ballots are derived
+only when asked for (`ApprovalProfile.ballots`).
+
 All arithmetic is exact: costs and budgets are :class:`fractions.Fraction`,
 scores are integers or fractions.  This matters because the worst-case
 constructions and the ratio assertions in the test suite compare values for
@@ -17,13 +23,17 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import compress
+from typing import Iterable, Iterator, Optional
 
 Bundle = frozenset  # a bundle is simply a frozenset of project ids
 
 _RationalLike = int | Fraction | str
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class UnknownProjectError(ValueError):
@@ -95,32 +105,88 @@ class PBInstance:
         return max(p.cost for p in self.projects)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ApprovalProfile:
     """One approval set per voter; the voter id is the ballot index.
+
+    Voters are kept as project bitmasks: `voters[i]` is voter i's ballot,
+    bit k standing for project `ids[k]`.  `ApprovalProfile(ballots)` takes
+    the ids that the ballots approve, sorted; `from_masks` takes any ids
+    and masks, as `pabulib.parse_pb` reads them.  `ballots` is derived from
+    the masks on first use, one shared frozenset per distinct mask, and is
+    kept from the start for a profile built from ballots.  Two profiles are
+    equal, and hash alike, when their ballots are, whatever their ids.
 
     Empty ballots are legal and contribute zero to every score.  A profile
     with zero voters is also legal (it occurs in empty data files); rules
     that divide the budget among voters reject it explicitly.
     """
 
-    ballots: tuple[frozenset[str], ...]
+    ids: tuple[str, ...]
+    voters: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "ballots", tuple(frozenset(b) for b in self.ballots))
+    def __init__(self, ballots: Iterable[Iterable[str]]):
+        distinct: dict[frozenset, frozenset] = {}  # one object per ballot
+        ballots = tuple(distinct.setdefault(b, b)
+                        for b in map(frozenset, ballots))
+        ids = tuple(sorted(frozenset().union(*distinct)))
+        bit = {pid: 1 << k for k, pid in enumerate(ids)}.__getitem__
+        mask = {b: sum(map(bit, b)) for b in distinct}.__getitem__
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "voters", tuple(map(mask, ballots)))
+        object.__setattr__(self, "ballots", ballots)
+
+    @classmethod
+    def from_masks(cls, ids: Iterable[str], voters: Iterable[int]
+                   ) -> ApprovalProfile:
+        """The profile whose voter i approves `ids[k]` for each bit k set in
+        `voters[i]`."""
+        profile = cls.__new__(cls)
+        object.__setattr__(profile, "ids", tuple(ids))
+        object.__setattr__(profile, "voters", tuple(voters))
+        if profile.voters and (min(profile.voters) < 0
+                               or max(profile.voters) >> len(profile.ids)):
+            raise ValueError("a voter mask has a bit with no project id")
+        return profile
+
+    def mask(self, project_ids: Iterable[str]) -> int:
+        """The bits of `project_ids` among `ids`; an id that is not there,
+        and so that no voter approves, sets none."""
+        wanted = frozenset(project_ids)
+        return sum(1 << k for k, pid in enumerate(self.ids) if pid in wanted)
+
+    def approved(self, mask: int) -> Iterator[str]:
+        """The ids whose bits `mask` sets, in the order of `ids`."""
+        # the binary digits of mask, lowest first, as bytes 0 and 1
+        return compress(self.ids, bin(mask)[:1:-1].encode().translate(_BITS))
+
+    @functools.cached_property
+    def ballots(self) -> tuple[frozenset[str], ...]:
+        sets = {mask: frozenset(self.approved(mask))
+                for mask in set(self.voters)}
+        return tuple(map(sets.__getitem__, self.voters))
+
+    def __eq__(self, other):
+        if not isinstance(other, ApprovalProfile):
+            return NotImplemented
+        if self.ids == other.ids:
+            return self.voters == other.voters
+        return self.ballots == other.ballots
+
+    def __hash__(self):
+        return hash((self.ballots,))
 
     @property
     def n_voters(self) -> int:
-        return len(self.ballots)
+        return len(self.voters)
 
     def validate(self, instance: PBInstance) -> None:
-        known = set(instance.project_ids)
-        for i, ballot in enumerate(self.ballots):
-            bad = ballot - known
-            if bad:
-                raise UnknownProjectError(
-                    f"ballot {i} approves unknown project(s) {sorted(bad)}"
-                )
+        unknown = self.mask(set(self.ids) - set(instance.project_ids))
+        if unknown and any(map(unknown.__and__, self.voters)):
+            i = next(i for i, mask in enumerate(self.voters) if mask & unknown)
+            bad = sorted(self.approved(self.voters[i] & unknown))
+            raise UnknownProjectError(
+                f"ballot {i} approves unknown project(s) {bad}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +197,12 @@ class Election:
     Projects are numbered in instance order; `ids` holds their ids.  Voters
     are kept as bitsets only: a voter set is a Python int, bit i standing
     for voter i, so a popcount counts voters, and `project_masks[k]` is
-    project k's approver set.  `n_voters` counts the voters and `longest`
-    is the length of the longest ballot.  Money is integral in units of
-    1/unit, where unit is the least common multiple of the cost and budget
-    denominators (100 for cent-valued data).  Two projects are twins when
-    they have the same cost and approver set; `twins[k]` is the first
-    project of k's class.
+    project k's approver set, read off the profile's voter masks.
+    `n_voters` counts the voters and `longest` is the length of the longest
+    ballot.  Money is integral in units of 1/unit, where unit is the least
+    common multiple of the cost and budget denominators (100 for
+    cent-valued data).  Two projects are twins when they have the same cost
+    and approver set; `twins[k]` is the first project of k's class.
 
     Elections compare and hash by identity, so an election keys a memo at
     O(1) cost (`sequential` keeps the equal-shares approval phase that
@@ -168,42 +234,40 @@ def compile_election(instance: PBInstance,
     objects as one of the last two pairs it compiled returns that election
     at once, so the residual election of `rule_x_pav` does not push out the
     pair it came from.  Those pairs are held through weak references, so
-    they keep no profile alive.  Any other call turns each distinct ballot
-    once into a project bitmask, bit k standing for project k, and looks
-    the voters' masks up by value, a tuple of ints that hashes and compares
-    at C speed; a project id that the instance does not know falls back to
-    `ApprovalProfile.validate`, which names the ballot.  The value memo
-    keeps two elections, for the same reason, and it keeps each voter's
-    ballot as a project bitmask, not the profile itself.
+    they keep no profile alive.  Any other call looks the profile's ids and
+    voter masks up by value, tuples of strings and ints that hash and
+    compare at C speed.  The masks are taken as they are; when the profile's
+    ids are not the instance's (a profile built from ballots numbers its
+    projects in sorted order), `ApprovalProfile.validate` first checks that
+    no voter approves a project the instance lacks, and names the ballot if
+    one does.  The value memo keeps two elections, for the same reason, and
+    it keeps the masks, not the profile itself.
     """
     global _last
     for held in _last:
         if held[0]() is instance and held[1]() is profile:
             return held[2]
-    bit = {p.id: 1 << k for k, p in enumerate(instance.projects)}.__getitem__
-    try:
-        masks = {ballot: sum(map(bit, ballot))
-                 for ballot in set(profile.ballots)}
-    except KeyError:
+    if profile.ids != instance.project_ids:
         profile.validate(instance)
-        raise
-    election = _compile(instance,
-                        tuple(map(masks.__getitem__, profile.ballots)))
+    election = _compile(instance, profile.ids, profile.voters)
     _last = ((weakref.ref(instance), weakref.ref(profile), election),
              *_last[:1])
     return election
 
 
 @functools.lru_cache(maxsize=2)
-def _compile(instance: PBInstance, voters: tuple) -> Election:
-    m = len(instance.projects)
-    # each distinct mask as m binary digits, digit k for project k (the bit
-    # above project m - 1 pads bin() to m digits); column k of the voters'
-    # digits, from the last voter to the first, is k's approvers in binary
+def _compile(instance: PBInstance, ids: tuple, voters: tuple) -> Election:
+    m = len(ids)
+    # each distinct mask as m binary digits, digit k for project ids[k] (the
+    # bit above the last pads bin() to m digits); column k of the voters'
+    # digits, from the last voter to the first, is ids[k]'s approvers in
+    # binary, and an instance project that no id names has none
     top = 1 << m
     digits = {mask: bin(mask | top)[:2:-1].encode() for mask in set(voters)}
     table = b"".join(map(digits.__getitem__, reversed(voters)))
-    project_masks = tuple(int(table[k::m] or b"0", 2) for k in range(m))
+    column = {pid: k for k, pid in enumerate(ids)}
+    project_masks = tuple(0 if k is None else int(table[k::m] or b"0", 2)
+                          for k in map(column.get, instance.project_ids))
     unit = math.lcm(instance.budget.denominator,
                     *(p.cost.denominator for p in instance.projects))
     costs = tuple(int(p.cost * unit) for p in instance.projects)
@@ -236,20 +300,25 @@ def _check_bundle(instance: Optional[PBInstance], bundle: Iterable[str]):
             raise UnknownProjectError(f"unknown project id(s) {sorted(bad)}")
 
 
+def _funded(profile: ApprovalProfile, bundle: Iterable[str],
+            instance: Optional[PBInstance]) -> int:
+    funded = frozenset(bundle)
+    _check_bundle(instance, funded)
+    return profile.mask(funded)
+
+
 def social_welfare(profile: ApprovalProfile, bundle: Iterable[str],
                    instance: Optional[PBInstance] = None) -> int:
     """Total number of (voter, funded approved project) pairs."""
-    funded = frozenset(bundle)
-    _check_bundle(instance, funded)
-    return sum(len(ballot & funded) for ballot in profile.ballots)
+    funded = _funded(profile, bundle, instance)
+    return sum(map(int.bit_count, map(funded.__and__, profile.voters)))
 
 
 def representation(profile: ApprovalProfile, bundle: Iterable[str],
                    instance: Optional[PBInstance] = None) -> int:
     """Number of voters with at least one approved project funded."""
-    funded = frozenset(bundle)
-    _check_bundle(instance, funded)
-    return sum(1 for ballot in profile.ballots if ballot & funded)
+    funded = _funded(profile, bundle, instance)
+    return sum(map(bool, map(funded.__and__, profile.voters)))
 
 
 def harmonic(k: int) -> Fraction:
@@ -260,16 +329,9 @@ def harmonic(k: int) -> Fraction:
 def pav_score(profile: ApprovalProfile, bundle: Iterable[str],
               instance: Optional[PBInstance] = None) -> Fraction:
     """Sum over voters of H(number of approved funded projects)."""
-    funded = frozenset(bundle)
-    _check_bundle(instance, funded)
-    table: dict[int, Fraction] = {}
-    total = Fraction(0)
-    for ballot in profile.ballots:
-        k = len(ballot & funded)
-        if k not in table:
-            table[k] = harmonic(k)
-        total += table[k]
-    return total
+    funded = _funded(profile, bundle, instance)
+    counts = Counter(map(int.bit_count, map(funded.__and__, profile.voters)))
+    return sum((harmonic(k) * n for k, n in counts.items()), Fraction(0))
 
 
 def is_feasible(instance: PBInstance, bundle: Iterable[str]) -> bool:

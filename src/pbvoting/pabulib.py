@@ -28,13 +28,15 @@ pass, checks each row's cell count against the header's and then the
 needed columns; only the cells that are read are stripped.  A project id
 must be non-empty and hold no ``,``, or no vote could name it, and
 `write_pb` refuses such an id too.  A vote is the set of its
-comma-separated ids, each stripped, with empty ones dropped.  Each distinct
-vote cell is read once, into one frozenset that every row with that cell
-shares, and one union test checks every id of every vote against the
-project ids.  A vote whose ids, as written, are all project ids is that
-set already, since project ids are stripped and non-empty; only when the
-union test fails are the rows walked in order, the ids of each failing cell
-stripped and, if one is still unknown, the first unknown id reported.  A
+comma-separated ids, each stripped, with empty ones dropped.  The profile
+keeps each vote as a project bitmask, bit k standing for the k-th project
+row (`core.ApprovalProfile.from_masks`).  Each distinct vote cell is read
+once, in the order of first appearance, into one mask that every row with
+that cell shares: the sum of its ids' bits, an unknown id adding none.  A
+cell whose mask has one bit per id, as written, is that vote already, since
+project ids are stripped and non-empty; an unknown, blank or repeated id
+leaves fewer bits.  Only such a cell is stripped, and if an id is still
+unknown, the first one of the first row with that cell is reported.  A
 table's errors come in a fixed order: every row's cell count, the needed
 columns, each row's cells in turn (a project's id and cost, a vote's ids),
 then the table's distinct project ids and its row count.
@@ -43,6 +45,7 @@ then the table's distinct project ids and its row count.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 from .core import ApprovalProfile, PBInstance, Project
@@ -160,27 +163,32 @@ def _table(section: _Section, name: str, needed: tuple[str, ...]
     return list(map(columns.index, needed)), linenos, split
 
 
-def _parse_votes(section: _Section, known: frozenset[str]
-                 ) -> list[frozenset[str]]:
-    """The ballots of the VOTES rows, checked by `_table` and then for
-    their ids against the project ids `known`."""
+def _parse_votes(section: _Section, ids: tuple[str, ...]) -> list[int]:
+    """The ballots of the VOTES rows as project bitmasks, bit k standing
+    for ids[k], checked by `_table` and then for their ids."""
     (_, vote_col), linenos, rows = _table(section, "VOTES",
                                           ("voter_id", "vote"))
     cells = [row[vote_col] for row in rows]
-    votes = {cell: frozenset(cell.split(",")) for cell in set(cells)}
-    if not known.issuperset(frozenset().union(*votes.values())):
-        # in row order, so that the first unknown id is the one reported
-        for lineno, cell in zip(linenos, cells):
-            if votes[cell] <= known:
+    distinct = list(dict.fromkeys(cells))  # in the order of first appearance
+    names = list(map(str.split, distinct, repeat(",")))
+    bit = {pid: 1 << k for k, pid in enumerate(ids)}
+    # the sum of each cell's bits, bit.get(name, 0) for each name; an
+    # unknown id adds no bit and a repeated one carries, so either leaves
+    # fewer bits than names
+    zeros = repeat(0)
+    masks = list(map(sum, map(map, repeat(bit.get), names, repeat(zeros))))
+    if list(map(int.bit_count, masks)) != list(map(len, names)):
+        for k, cell in enumerate(distinct):
+            if masks[k].bit_count() == len(names[k]):
                 continue
-            ids = cell.split(",")
-            votes[cell] = frozenset(map(str.strip, ids)) - {""}
-            if not votes[cell] <= known:
-                pid = next(pid for pid in map(str.strip, ids)
-                           if pid and pid not in known)
+            stripped = [pid for pid in map(str.strip, names[k]) if pid]
+            pid = next((pid for pid in stripped if pid not in bit), None)
+            if pid is not None:
                 raise PabulibParseError(
-                    lineno, f"vote references unknown project id {pid!r}")
-    return list(map(votes.__getitem__, cells))
+                    linenos[cells.index(cell)],
+                    f"vote references unknown project id {pid!r}")
+            masks[k] = sum(map(bit.__getitem__, set(stripped)))
+    return list(map(dict(zip(distinct, masks)).__getitem__, cells))
 
 
 def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
@@ -234,22 +242,22 @@ def parse_pb(text: str) -> tuple[PBInstance, ApprovalProfile, dict[str, str]]:
     if not projects:
         raise PabulibParseError(sections["PROJECTS"][0],
                                 "PROJECTS has no project rows")
-    known = frozenset(p.id for p in projects)
-    if len(known) != len(projects):
+    ids = tuple(p.id for p in projects)
+    if len(set(ids)) != len(ids):
         raise PabulibParseError(None, "duplicate project ids in PROJECTS")
     if num_projects != len(projects):
         raise PabulibParseError(
             None, f"num_projects={meta['num_projects']} but "
             f"PROJECTS has {len(projects)} rows")
 
-    ballots = _parse_votes(sections["VOTES"], known)
-    if num_votes != len(ballots):
+    voters = _parse_votes(sections["VOTES"], ids)
+    if num_votes != len(voters):
         raise PabulibParseError(
             None, f"num_votes={meta['num_votes']} but VOTES has "
-            f"{len(ballots)} rows")
+            f"{len(voters)} rows")
 
     return (PBInstance(tuple(projects), budget),
-            ApprovalProfile(tuple(ballots)), meta)
+            ApprovalProfile.from_masks(ids, voters), meta)
 
 
 def format_decimal(value: Fraction) -> str:
@@ -325,6 +333,8 @@ def write_pb(instance: PBInstance, profile: ApprovalProfile,
         lines.append(f"{p.id};{format_decimal(p.cost)}")
     lines.append("VOTES")
     lines.append("voter_id;vote")
-    for i, ballot in enumerate(profile.ballots):
-        lines.append(f"{i};{','.join(sorted(ballot))}")
+    cells = {mask: ",".join(sorted(profile.approved(mask)))
+             for mask in set(profile.voters)}
+    for i, mask in enumerate(profile.voters):
+        lines.append(f"{i};{cells[mask]}")
     return "\n".join(lines) + "\n"

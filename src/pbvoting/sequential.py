@@ -311,7 +311,8 @@ def rule_x_pav(instance: PBInstance, profile: ApprovalProfile,
     """Equal shares, then the exact harmonic-score rule on what's left.
 
     The second stage optimizes over the unfunded projects with the residual
-    budget; the result is the union of both stages.
+    budget; the result is the union of both stages.  Its profile is the
+    voters' masks with the funded projects' bits cleared, over the same ids.
     """
     first = rule_x(instance, profile)
     residual = instance.budget - instance.cost_of(first)
@@ -319,10 +320,8 @@ def rule_x_pav(instance: PBInstance, profile: ApprovalProfile,
     if not rest or residual < min(p.cost for p in rest):
         return first
     sub = PBInstance(projects=tuple(rest), budget=residual)
-    # one residual ballot per distinct ballot, shared by its voters
-    left = {b: b - first for b in dict.fromkeys(profile.ballots)}
-    sub_profile = ApprovalProfile(
-        tuple(map(left.__getitem__, profile.ballots)))
+    sub_profile = ApprovalProfile.from_masks(
+        profile.ids, map((~profile.mask(first)).__and__, profile.voters))
     return first | solve_pav(sub, sub_profile, tiebreak, search_budget)
 
 

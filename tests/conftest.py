@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's search code: exhaustive
 bitmask enumeration for the optimizers, a full subset scan for the fairness
 checker, a breakpoint solve for the payment threshold, and voter-by-voter
-runs of equal shares (on that threshold) and of greedy sPAV.  Tests compare
-the fast implementations against these.  `oracle_parse_pb` is the `.pb`
+runs of equal shares (on that threshold) and of greedy sPAV; the scores and
+the profile check walk the ballots one by one.  Tests compare the fast
+implementations against these.  `oracle_parse_pb` is the `.pb`
 parser written plainly, stripping every cell of every row.
 """
 
@@ -125,6 +126,34 @@ def _subsets(instance: PBInstance, profile: ApprovalProfile
     voter_masks = [sum(1 << j for j, pid in enumerate(ids) if pid in ballot)
                    for ballot in profile.ballots]
     return cost, voter_masks
+
+
+# ---------------------------------------------------------------------------
+# scores and the profile check, walked ballot by ballot
+
+def oracle_social_welfare(profile: ApprovalProfile, bundle) -> int:
+    return sum(len(ballot & frozenset(bundle)) for ballot in profile.ballots)
+
+
+def oracle_representation(profile: ApprovalProfile, bundle) -> int:
+    return sum(1 for ballot in profile.ballots if ballot & frozenset(bundle))
+
+
+def oracle_pav_score(profile: ApprovalProfile, bundle) -> Fraction:
+    return sum((harmonic(len(ballot & frozenset(bundle)))
+                for ballot in profile.ballots), Fraction(0))
+
+
+def oracle_unknown_ballot(instance: PBInstance, profile: ApprovalProfile
+                          ) -> Optional[str]:
+    """The message of validating the profile against the instance: the
+    first ballot that approves a project the instance lacks, or None."""
+    known = set(instance.project_ids)
+    for i, ballot in enumerate(profile.ballots):
+        if ballot - known:
+            return (f"ballot {i} approves unknown project(s) "
+                    f"{sorted(ballot - known)}")
+    return None
 
 
 # ---------------------------------------------------------------------------

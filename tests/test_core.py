@@ -1,16 +1,24 @@
 import gc
+import random
+import re
 import weakref
 from fractions import Fraction
 
 import pytest
 
 import pbvoting
-from conftest import clear_memos
-from pbvoting import core
+from conftest import (clear_memos, oracle_pav_score, oracle_representation,
+                      oracle_social_welfare, random_instance)
+from pbvoting import core, sequential
+from pbvoting.bench import run_rule
 from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            UnknownProjectError, compile_election, harmonic,
                            is_feasible, pav_score, representation,
                            social_welfare)
+from pbvoting.datagen import EuclideanConfig, gen_euclidean
+from pbvoting.exact import SearchBudget, TieBreakPolicy
+from pbvoting.fairness import find_ejr_violation
+from pbvoting.pabulib import parse_pb, write_pb
 
 
 def test_project_rejects_non_positive_cost():
@@ -69,6 +77,58 @@ def test_scores_on_city(city_pair):
     assert representation(prof, five_g_three_e) == 190
     assert pav_score(prof, five_g_three_e) == \
         100 * harmonic(5) + 90 * harmonic(3)
+
+
+SCORES = ((social_welfare, oracle_social_welfare),
+          (representation, oracle_representation),
+          (pav_score, oracle_pav_score))
+
+
+def test_scores_match_ballot_walks():
+    for seed in range(60):
+        inst, built = random_instance(seed)
+        # a project that no voter approves: the parsed profile has an id for
+        # it, the profile built from ballots has none
+        inst = PBInstance(inst.projects + (Project("nobody's", 1),),
+                          inst.budget)
+        parsed = parse_pb(write_pb(inst, built))[1]
+        rng = random.Random(seed)
+        bundle = rng.sample(inst.project_ids,
+                            rng.randint(0, len(inst.project_ids)))
+        bundle.append("nobody's")
+        for profile in (built, parsed):
+            for score, oracle in SCORES:
+                assert score(profile, bundle) == oracle(built, bundle)
+                assert score(profile, bundle, inst) == oracle(built, bundle)
+                # an unknown id counts for nothing, unless checked
+                assert score(profile, bundle + ["zz"]) == oracle(built, bundle)
+                with pytest.raises(UnknownProjectError, match=re.escape(
+                        "unknown project id(s) ['zz']")):
+                    score(profile, bundle + ["zz"], inst)
+
+
+def test_a_pabulib_pass_builds_no_ballot_sets(monkeypatch):
+    # the pabulib-scale benchmark item: parse the .pb file, run each rule and
+    # audit it to depth 6; voters stay project bitmasks throughout, in the
+    # parsed profile and in RX-PAV's residual one
+    text = write_pb(*gen_euclidean(0, EuclideanConfig(n_voters=1000,
+                                                      n_projects=40)))
+    built = []
+    derive = ApprovalProfile.__dict__["ballots"].func
+    monkeypatch.setattr(ApprovalProfile, "ballots", property(
+        lambda profile: built.append(profile) or derive(profile)))
+    residuals = []
+    solve_pav = sequential.solve_pav
+    monkeypatch.setattr(sequential, "solve_pav", lambda inst, prof, *args:
+                        residuals.append(prof) or solve_pav(inst, prof, *args))
+    clear_memos()
+    inst, prof, _ = parse_pb(text)
+    for rule in ("RX", "RX-eps", "sPAV", "RX-PAV"):
+        bundle = run_rule(rule, inst, prof, TieBreakPolicy.lex(),
+                          SearchBudget())
+        find_ejr_violation(inst, prof, bundle, 6)
+    assert len(residuals) == 1
+    assert built == []
 
 
 def test_harmonic():

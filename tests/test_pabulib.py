@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import oracle_parse_pb, random_instance
-from pbvoting.core import ApprovalProfile, PBInstance, Project
+from conftest import oracle_parse_pb, oracle_unknown_ballot, random_instance
+from pbvoting.core import (ApprovalProfile, PBInstance, Project,
+                           UnknownProjectError, compile_election)
 from pbvoting.datagen import generate
 from pbvoting.exact import solve_av
 from pbvoting.pabulib import (PabulibParseError, format_decimal, parse_pb,
@@ -459,3 +460,63 @@ def test_a_parsed_file_writes_back_to_the_same_election(text):
     except PabulibParseError:
         return
     assert parse_pb(write_pb(inst, prof))[:2] == (inst, prof)
+
+
+def _reordered(profile, order):
+    """`profile` with its ids in `order` (a permutation of their indices)
+    and one more id that no voter approves, the masks moved to match."""
+    ids = [profile.ids[k] for k in order] + ["unused"]
+    return ApprovalProfile.from_masks(ids, (
+        sum((mask >> old & 1) << new for new, old in enumerate(order))
+        for mask in profile.voters))
+
+
+def _pairs_to_compare(draw):
+    """An instance and its profile three ways: parsed from `.pb` text, built
+    from the same ballots, and with its ids in another order."""
+    if draw(st.booleans()):
+        text = draw(pb_texts())
+        outcome = _parsed(parse_pb, text)
+        # errors, unknown and blank ids among them, are the plain parser's
+        assert outcome == _parsed(oracle_parse_pb, text), text
+        if not isinstance(outcome[0], PBInstance):
+            return None
+        inst, parsed, _ = parse_pb(text)  # one that no comparison has seen
+        built = oracle_parse_pb(text)[1]
+    else:
+        inst, built = random_instance(draw(st.integers(0, 10 ** 6)))
+        parsed = parse_pb(write_pb(inst, built))[1]
+    order = draw(st.permutations(range(len(parsed.ids))))
+    return inst, (parsed, built, _reordered(parsed, order))
+
+
+@given(st.data())
+def test_a_profile_is_the_same_however_its_voters_were_built(data):
+    pairs = _pairs_to_compare(data.draw)
+    if pairs is None:
+        return
+    inst, profiles = pairs
+    parsed, built, reordered = profiles
+    assert parsed.ids == inst.project_ids
+    assert "ballots" not in vars(parsed) and "ballots" not in vars(reordered)
+    assert parsed == built == reordered == parsed
+    assert len({hash(p) for p in profiles}) == 1
+    assert len({write_pb(inst, p) for p in profiles}) == 1
+    elections = [vars(compile_election(inst, p)) for p in profiles]
+    assert elections[0] == elections[1] == elections[2]
+    assert elections[0]["project_masks"] == tuple(
+        sum(1 << i for i, ballot in enumerate(built.ballots) if pid in ballot)
+        for pid in inst.project_ids)
+    # an instance that lacks a project some voter approves
+    smaller = PBInstance(inst.projects[1:] or (Project("other", 1),),
+                         inst.budget)
+    message = oracle_unknown_ballot(smaller, built)
+    for profile in profiles:
+        for check in (profile.validate, lambda i: compile_election(i, profile),
+                      lambda i: write_pb(i, profile)):
+            if message is None:
+                check(smaller)
+                continue
+            with pytest.raises(UnknownProjectError) as raised:
+                check(smaller)
+            assert str(raised.value) == message

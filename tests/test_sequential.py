@@ -6,9 +6,11 @@ import pytest
 from conftest import (clear_memos, oracle_equal_shares_eps, oracle_q,
                       random_instance)
 from pbvoting import sequential
-from pbvoting.core import compile_election, representation, social_welfare
-from pbvoting.datagen import EuclideanConfig, gen_euclidean
-from pbvoting.exact import TieBreakPolicy
+from pbvoting.core import (ApprovalProfile, PBInstance, compile_election,
+                           representation, social_welfare)
+from pbvoting.datagen import EuclideanConfig, gen_euclidean, generate
+from pbvoting.exact import TieBreakPolicy, solve_pav
+from pbvoting.pabulib import parse_pb, write_pb
 from pbvoting.sequential import (EqualSharesTrace, q_value, rule_x,
                                  rule_x_eps, rule_x_pav, seq_pav)
 
@@ -235,3 +237,29 @@ def test_seq_pav_random_tiebreak_deterministic(city_pair):
     a = seq_pav(inst, prof, TieBreakPolicy.random_seeded(5))
     b = seq_pav(inst, prof, TieBreakPolicy.random_seeded(5))
     assert a == b
+
+
+POLICIES = (TieBreakPolicy.lex(), TieBreakPolicy.cheapest(),
+            TieBreakPolicy.worst_sw(), TieBreakPolicy.worst_rp(),
+            TieBreakPolicy.random_seeded(7))
+
+
+def test_rule_x_pav_residual_matches_the_ballot_residual():
+    # the residual pair built from frozenset differences, ballot by ballot
+    pairs = ([random_instance(seed) for seed in range(40)]
+             + [generate("euclidean-desk", seed) for seed in range(10)])
+    for inst, prof in pairs:
+        first = rule_x(inst, prof)
+        rest = tuple(p for p in inst.projects if p.id not in first)
+        residual = inst.budget - inst.cost_of(first)
+        parsed = parse_pb(write_pb(inst, prof))[1]
+        for policy in POLICIES:
+            if rest and residual >= min(p.cost for p in rest):
+                expected = first | solve_pav(
+                    PBInstance(rest, residual),
+                    ApprovalProfile(ballot - first for ballot in prof.ballots),
+                    policy)
+            else:
+                expected = first
+            assert rule_x_pav(inst, prof, policy) == expected
+            assert rule_x_pav(inst, parsed, policy) == expected
