@@ -144,6 +144,8 @@ class ApprovalProfile:
         profile = cls.__new__(cls)
         object.__setattr__(profile, "ids", tuple(ids))
         object.__setattr__(profile, "voters", tuple(voters))
+        if len(set(profile.ids)) != len(profile.ids):
+            raise ValueError("duplicate project ids")
         if profile.voters and (min(profile.voters) < 0
                                or max(profile.voters) >> len(profile.ids)):
             raise ValueError("a voter mask has a bit with no project id")
@@ -169,8 +171,6 @@ class ApprovalProfile:
     def __eq__(self, other):
         if not isinstance(other, ApprovalProfile):
             return NotImplemented
-        if self.ids == other.ids:
-            return self.voters == other.voters
         return self.ballots == other.ballots
 
     def __hash__(self):
@@ -182,8 +182,11 @@ class ApprovalProfile:
 
     def validate(self, instance: PBInstance) -> None:
         unknown = self.mask(set(self.ids) - set(instance.project_ids))
-        if unknown and any(map(unknown.__and__, self.voters)):
-            i = next(i for i, mask in enumerate(self.voters) if mask & unknown)
+        if not unknown:
+            return
+        i = next((i for i, mask in enumerate(self.voters) if mask & unknown),
+                 None)
+        if i is not None:
             bad = sorted(self.approved(self.voters[i] & unknown))
             raise UnknownProjectError(
                 f"ballot {i} approves unknown project(s) {bad}")

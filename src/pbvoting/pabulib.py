@@ -175,8 +175,8 @@ def _parse_votes(section: _Section, ids: tuple[str, ...]) -> list[int]:
     # the sum of each cell's bits, bit.get(name, 0) for each name; an
     # unknown id adds no bit and a repeated one carries, so either leaves
     # fewer bits than names
-    zeros = repeat(0)
-    masks = list(map(sum, map(map, repeat(bit.get), names, repeat(zeros))))
+    get, zeros = bit.get, repeat(0)
+    masks = [sum(map(get, ns, zeros)) for ns in names]
     if list(map(int.bit_count, masks)) != list(map(len, names)):
         for k, cell in enumerate(distinct):
             if masks[k].bit_count() == len(names[k]):

@@ -79,6 +79,27 @@ def test_scores_on_city(city_pair):
         100 * harmonic(5) + 90 * harmonic(3)
 
 
+@pytest.mark.parametrize("ids, voters, message", [
+    (("a", "b"), (1, 4), "a voter mask has a bit with no project id"),
+    (("a",), (-1,), "a voter mask has a bit with no project id"),
+    (("a", "a"), (1,), "duplicate project ids"),
+    (("a", "b", "a"), (), "duplicate project ids"),
+])
+def test_from_masks_refuses_what_it_cannot_name(ids, voters, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ApprovalProfile.from_masks(ids, voters)
+
+
+def test_profiles_are_equal_when_their_ballots_are():
+    ab = ApprovalProfile.from_masks(("a", "b"), (1, 3, 0))
+    ba = ApprovalProfile.from_masks(("b", "a", "c"), (2, 3, 0))
+    built = ApprovalProfile([{"a"}, {"a", "b"}, set()])
+    assert ab == ba == built
+    assert hash(ab) == hash(ba) == hash(built)
+    assert ab != ApprovalProfile.from_masks(("a", "b"), (2, 3, 0))
+    assert ab != ApprovalProfile.from_masks(("a", "b"), (1, 3))
+
+
 SCORES = ((social_welfare, oracle_social_welfare),
           (representation, oracle_representation),
           (pav_score, oracle_pav_score))
