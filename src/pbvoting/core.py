@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,12 +59,14 @@ class Project:
             raise ValueError(f"project {self.id!r} has non-positive cost {self.cost}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PBInstance:
     """Projects plus a total budget.
 
     The approval profile is kept separate so that one instance can be paired
-    with many profiles.
+    with many profiles.  Instances compare and hash on one key of plain
+    values, which holds no `Fraction`: the ids (`project_ids`), then the
+    numerator and denominator of each cost and of the budget.
     """
 
     projects: tuple[Project, ...]
@@ -78,14 +79,25 @@ class PBInstance:
             raise ValueError(f"budget must be positive, got {self.budget}")
         if not self.projects:
             raise ValueError("instance needs at least one project")
-        ids = [p.id for p in self.projects]
+        ids = tuple(p.id for p in self.projects)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate project ids")
         object.__setattr__(self, "_cost", {p.id: p.cost for p in self.projects})
+        money = (*self._cost.values(), self.budget)
+        object.__setattr__(self, "_key", (ids, *(
+            part for x in money for part in (x.numerator, x.denominator))))
+
+    def __eq__(self, other):
+        if not isinstance(other, PBInstance):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @property
     def project_ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.projects)
+        return self._key[0]
 
     def cost(self, project_id: str) -> Fraction:
         try:
@@ -209,8 +221,8 @@ class Election:
 
     Elections compare and hash by identity, so an election keys a memo at
     O(1) cost (`sequential` keeps the equal-shares approval phase that
-    way); `compile_election` returns one object per value while it is
-    memoized.
+    way); `compile_election` returns one object for equal instances and
+    profiles while their election is among the two it keeps.
     """
 
     ids: tuple[str, ...]
@@ -223,43 +235,29 @@ class Election:
     twins: tuple[int, ...]
 
 
-# the last two compiled pairs, the newest first: weak references to the
-# instance and profile of each, and its election
-_last: tuple = ()
-
-
 def compile_election(instance: PBInstance,
                      profile: ApprovalProfile) -> Election:
     """The validated :class:`Election` of an instance and a profile.
 
-    Memoized twice, so the rules, optima and audits of one election share
-    one build.  First by identity: a call with the same instance and profile
-    objects as one of the last two pairs it compiled returns that election
-    at once, so the residual election of `rule_x_pav` does not push out the
-    pair it came from.  Those pairs are held through weak references, so
-    they keep no profile alive.  Any other call looks the profile's ids and
-    voter masks up by value, tuples of strings and ints that hash and
-    compare at C speed.  The masks are taken as they are; when the profile's
+    Memoized by value, so the rules, optima and audits of one election
+    share one build: the instance, the profile's ids and its voter masks
+    key the memo, plain strings and ints that hash and compare at C speed.
+    It keeps two elections, so the residual election of `rule_x_pav` does
+    not push out the one it came from, and it keeps the masks, not the
+    profile itself.  The masks are taken as they are; when the profile's
     ids are not the instance's (a profile built from ballots numbers its
-    projects in sorted order), `ApprovalProfile.validate` first checks that
-    no voter approves a project the instance lacks, and names the ballot if
-    one does.  The value memo keeps two elections, for the same reason, and
-    it keeps the masks, not the profile itself.
+    projects in sorted order), a build first checks that no voter approves
+    a project the instance lacks (`ApprovalProfile.validate`), and names
+    the ballot if one does.  A build that raises is not memoized, so such a
+    profile raises on every call.
     """
-    global _last
-    for held in _last:
-        if held[0]() is instance and held[1]() is profile:
-            return held[2]
-    if profile.ids != instance.project_ids:
-        profile.validate(instance)
-    election = _compile(instance, profile.ids, profile.voters)
-    _last = ((weakref.ref(instance), weakref.ref(profile), election),
-             *_last[:1])
-    return election
+    return _compile(instance, profile.ids, profile.voters)
 
 
 @functools.lru_cache(maxsize=2)
 def _compile(instance: PBInstance, ids: tuple, voters: tuple) -> Election:
+    if ids != instance.project_ids:
+        ApprovalProfile.from_masks(ids, voters).validate(instance)
     m = len(ids)
     # each distinct mask as m binary digits, digit k for project ids[k] (the
     # bit above the last pads bin() to m digits); column k of the voters'
@@ -295,18 +293,13 @@ def lift(levels: list[int], mask: int) -> list[int]:
     return lifted
 
 
-def _check_bundle(instance: Optional[PBInstance], bundle: Iterable[str]):
-    if instance is not None:
-        known = set(instance.project_ids)
-        bad = set(bundle) - known
-        if bad:
-            raise UnknownProjectError(f"unknown project id(s) {sorted(bad)}")
-
-
 def _funded(profile: ApprovalProfile, bundle: Iterable[str],
             instance: Optional[PBInstance]) -> int:
     funded = frozenset(bundle)
-    _check_bundle(instance, funded)
+    if instance is not None:
+        bad = funded.difference(instance._cost)
+        if bad:
+            raise UnknownProjectError(f"unknown project id(s) {sorted(bad)}")
     return profile.mask(funded)
 
 

@@ -69,7 +69,8 @@ def is_cohesive(instance: PBInstance, profile: ApprovalProfile,
             raise ValueError(f"voter index {i} out of range")
     for pid in T:
         instance.cost(pid)  # raises UnknownProjectError if absent
-    if not all(T <= profile.ballots[i] for i in S):
+    wanted = profile.mask(T)  # no bit for a project that no voter approves
+    if any((profile.voters[i] & wanted).bit_count() < len(T) for i in S):
         return False
     # an empty voter set has share 0, also when there are no voters at all
     share = instance.budget * len(S) / profile.n_voters if S else 0

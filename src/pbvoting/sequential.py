@@ -17,8 +17,9 @@ that come to hold one amount merge.
 RX, RX-eps and RX-PAV begin with the same approval phase, so it runs once
 per compiled election and is memoized next to it, one election deep: the
 funded projects in funding order and the threshold q each was paid at, a
-`Fraction` in the instance's money.  An `EqualSharesTrace` is replayed
-from the memo (`_replay`).
+`Fraction` in the instance's money.  It keys on the election object, which
+`compile_election` finds by value, so equal pairs share one phase.  An
+`EqualSharesTrace` is replayed from the memo (`_replay`).
 
 The exhaustion phase of `rule_x_eps` needs no budgets.  There every voter
 pays for every project, and a funded project is paid for exactly, since

@@ -3,10 +3,10 @@
 The oracles here deliberately avoid the library's search code: exhaustive
 bitmask enumeration for the optimizers, a full subset scan for the fairness
 checker, a breakpoint solve for the payment threshold, and voter-by-voter
-runs of equal shares (on that threshold) and of greedy sPAV; the scores and
-the profile check walk the ballots one by one.  Tests compare the fast
-implementations against these.  `oracle_parse_pb` is the `.pb`
-parser written plainly, stripping every cell of every row.
+runs of equal shares (on that threshold) and of greedy sPAV; the scores,
+the profile check and the cohesion test walk the ballots one by one.  Tests
+compare the fast implementations against these.  `oracle_parse_pb` is the
+`.pb` parser written plainly, stripping every cell of every row.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def pytest_terminal_summary(terminalreporter):
 def clear_memos():
     """Forget every compiled election and every equal-shares phase."""
     core._compile.cache_clear()
-    core._last = ()
     sequential._approval_phase.cache_clear()
 
 
@@ -129,7 +128,8 @@ def _subsets(instance: PBInstance, profile: ApprovalProfile
 
 
 # ---------------------------------------------------------------------------
-# scores and the profile check, walked ballot by ballot
+# scores, the profile check and cohesion, walked ballot by ballot; instance
+# equality as the dataclass fields define it
 
 def oracle_social_welfare(profile: ApprovalProfile, bundle) -> int:
     return sum(len(ballot & frozenset(bundle)) for ballot in profile.ballots)
@@ -154,6 +154,23 @@ def oracle_unknown_ballot(instance: PBInstance, profile: ApprovalProfile
             return (f"ballot {i} approves unknown project(s) "
                     f"{sorted(ballot - known)}")
     return None
+
+
+def oracle_is_cohesive(instance: PBInstance, profile: ApprovalProfile,
+                       voters, projects) -> bool:
+    """`fairness.is_cohesive` on valid input, walking the ballots: every
+    voter approves every project, and their share pays for them."""
+    S, T = frozenset(voters), frozenset(projects)
+    if not all(T <= profile.ballots[i] for i in S):
+        return False
+    share = instance.budget * len(S) / profile.n_voters if S else 0
+    return share >= sum(instance.cost(pid) for pid in T)
+
+
+def oracle_instances_equal(a: PBInstance, b: PBInstance) -> bool:
+    """Instance equality as the dataclass fields define it: the projects,
+    each an id and a `Fraction` cost, in order, and the budget."""
+    return (a.projects, a.budget) == (b.projects, b.budget)
 
 
 # ---------------------------------------------------------------------------

@@ -281,14 +281,14 @@ def test_row_scores_equal_the_scores_of_the_bundles(dataset):
 def test_an_experiment_compiles_each_election_once():
     # 7 rules, their optima and 7 audits share one build; RX-PAV adds the
     # build of its residual election, which must not evict the first.  The
-    # 13 calls that build nothing all match one of the last two pairs by
-    # identity, so none of them reaches the value memo.
+    # 14 calls that build nothing find one of the two kept elections by
+    # value.
     clear_memos()
     rows = run_experiment(ExperimentSpec("euclidean-desk", RULE_NAMES,
                                          tiebreak="worst-sw"))
     assert len(rows) == len(RULE_NAMES)
     info = core._compile.cache_info()
-    assert (info.misses, info.hits) == (2, 0)
+    assert (info.misses, info.hits) == (2, 14)
 
 
 def test_an_experiment_runs_the_approval_phase_once():

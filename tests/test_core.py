@@ -17,7 +17,7 @@ from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            social_welfare)
 from pbvoting.datagen import EuclideanConfig, gen_euclidean
 from pbvoting.exact import SearchBudget, TieBreakPolicy
-from pbvoting.fairness import find_ejr_violation
+from pbvoting.fairness import find_ejr_violation, is_cohesive
 from pbvoting.pabulib import parse_pb, write_pb
 
 
@@ -131,7 +131,8 @@ def test_scores_match_ballot_walks():
 def test_a_pabulib_pass_builds_no_ballot_sets(monkeypatch):
     # the pabulib-scale benchmark item: parse the .pb file, run each rule and
     # audit it to depth 6; voters stay project bitmasks throughout, in the
-    # parsed profile and in RX-PAV's residual one
+    # parsed profile and in RX-PAV's residual one, and so they do when a
+    # group of voters is tested for cohesion
     text = write_pb(*gen_euclidean(0, EuclideanConfig(n_voters=1000,
                                                       n_projects=40)))
     built = []
@@ -148,6 +149,11 @@ def test_a_pabulib_pass_builds_no_ballot_sets(monkeypatch):
         bundle = run_rule(rule, inst, prof, TieBreakPolicy.lex(),
                           SearchBudget())
         find_ejr_violation(inst, prof, bundle, 6)
+    top = max(inst.project_ids, key=lambda pid: social_welfare(prof, {pid}))
+    bit = prof.mask({top})
+    supporters = [i for i, mask in enumerate(prof.voters) if mask & bit]
+    assert is_cohesive(inst, prof, supporters, {top})
+    assert not is_cohesive(inst, prof, supporters, inst.project_ids[:3])
     assert len(residuals) == 1
     assert built == []
 
@@ -173,16 +179,17 @@ def test_every_exported_name_resolves():
 
 def test_a_repeated_compile_returns_the_election_at_once(tiny_pair):
     inst, prof = tiny_pair
-    # two pairs are held, so the second build does not push out the first
+    # two elections are kept, so the second build does not push out the first
+    clear_memos()
     pairs = [(PBInstance(inst.projects, inst.budget * k),
               ApprovalProfile(prof.ballots)) for k in (1, 2)]
     elections = [compile_election(*pair) for pair in pairs]
-    hits = core._compile.cache_info().hits
     for pair, election in zip(pairs, elections):
         assert compile_election(*pair) is election
-    assert core._compile.cache_info().hits == hits  # matched by identity
-    # ... and through weak references: the value memo keeps each ballot as
-    # a project bitmask, so no profile outlives its last holder
+    info = core._compile.cache_info()
+    assert (info.misses, info.hits) == (2, 2)  # found by value
+    # the memo keeps each ballot as a project bitmask, so no profile
+    # outlives its last holder
     instances = [weakref.ref(inst) for inst, _ in pairs]
     profiles = [weakref.ref(prof) for _, prof in pairs]
     del pairs, pair
@@ -219,9 +226,30 @@ def test_an_unknown_project_raises_right_after_a_hit(tiny_pair):
         compile_election(inst, bad)
 
 
+def test_an_invalid_profile_raises_on_every_call(tiny_pair):
+    # a failed build is not memoized, also right after a valid profile over
+    # the same ids compiled; "zz" is their last id, which no valid voter
+    # approves
+    inst, _ = tiny_pair
+    ids = (*inst.project_ids, "zz")
+    good = ApprovalProfile.from_masks(ids, (0b011, 0b001, 0b100))
+    bad = ApprovalProfile.from_masks(ids, (0b011, 0b001, 0b1100))
+    clear_memos()
+    election = compile_election(inst, good)
+    for _ in range(3):
+        with pytest.raises(UnknownProjectError) as raised:
+            compile_election(inst, bad)
+        assert str(raised.value) == \
+            "ballot 2 approves unknown project(s) ['zz']"
+        assert core._compile.cache_info().currsize == 1
+    assert compile_election(inst, good) is election
+    info = core._compile.cache_info()
+    assert (info.misses, info.hits) == (4, 1)
+
+
 def test_an_unknown_project_raises_on_a_cold_compile(tiny_pair):
-    # building the ballot bitmasks meets the unknown id first; the message
-    # is the one that validating the profile gives
+    # a cold build validates the profile first and names the first ballot
+    # with an unknown id
     inst, prof = tiny_pair
     clear_memos()
     bad = ApprovalProfile(prof.ballots[:2] + (frozenset({"zz", "p1"}),)

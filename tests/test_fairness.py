@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import oracle_ejr_violated, random_instance
+from conftest import oracle_ejr_violated, oracle_is_cohesive, random_instance
 from pbvoting.core import ApprovalProfile, PBInstance, Project
 from pbvoting.exact import TieBreakPolicy, solve_av, solve_cc
 from pbvoting.fairness import (default_t_cap, find_ejr_violation,
@@ -23,6 +25,42 @@ def test_is_cohesive_validates_inputs(city_pair):
     inst, prof = city_pair
     with pytest.raises(ValueError):
         is_cohesive(inst, prof, [999], {"A-g0"})
+
+
+def test_a_project_no_voter_approves_makes_no_group_cohesive():
+    # "z" is in the instance but not among the profile's ids, so its
+    # bit is missing from the profile's mask of T
+    inst = PBInstance((Project("a", 1), Project("z", 1)), 10)
+    prof = ApprovalProfile((frozenset({"a"}),) * 2)
+    assert "z" not in prof.ids
+    assert is_cohesive(inst, prof, [0, 1], {"a"})
+    assert not is_cohesive(inst, prof, [0, 1], {"z"})
+    assert not is_cohesive(inst, prof, [0], {"a", "z"})
+    assert not is_cohesive(inst, prof, [], {"z"})
+    assert is_cohesive(inst, prof, [], [])
+
+
+def test_is_cohesive_matches_a_ballot_walk():
+    # empty and drawn voter sets, and for each T its full supporter set,
+    # over T that may hold projects that no voter approves
+    counts = {True: 0, False: 0, "unapproved": 0}
+    for seed in range(120):
+        inst, prof = random_instance(seed)
+        rng = random.Random(seed)
+        ids = inst.project_ids
+        for _ in range(6):
+            T = frozenset(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+            supporters = [i for i, ballot in enumerate(prof.ballots)
+                          if T <= ballot]
+            drawn = rng.sample(range(prof.n_voters),
+                               rng.randint(1, prof.n_voters))
+            for S in ([], supporters, drawn):
+                got = is_cohesive(inst, prof, S, T)
+                assert got == oracle_is_cohesive(inst, prof, S, T), \
+                    (seed, S, T)
+                counts[got] += 1
+                counts["unapproved"] += bool(S and T - set(prof.ids))
+    assert min(counts.values()) > 50, counts
 
 
 def test_no_voters_have_share_zero(city_pair):

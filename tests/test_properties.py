@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (clear_memos, oracle_ejr_violated, oracle_equal_shares,
-                      oracle_search, oracle_seq_pav, random_instance)
+                      oracle_instances_equal, oracle_search, oracle_seq_pav,
+                      random_instance)
+from pbvoting import core
 from pbvoting.core import (ApprovalProfile, PBInstance, Project,
                            compile_election, pav_score, representation,
                            social_welfare)
@@ -141,6 +145,49 @@ def test_an_election_of_more_than_64_projects_matches_a_recount():
     clear_memos()
     test_compiled_election_matches_a_recount_of_the_ballots.hypothesis \
         .inner_test((inst, prof))
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 4, 100]), st.data())
+def test_an_instance_equals_its_rebuild_and_no_changed_copy(seed, scale,
+                                                            data):
+    base, prof = random_instance(seed)
+    inst = PBInstance([Project(p.id, p.cost / scale) for p in base.projects],
+                      base.budget / scale)
+    # new Project objects, costs and budget given as decimal strings
+    def decimal(x: Fraction) -> str:
+        return str(Decimal(x.numerator) / x.denominator)
+
+    rebuilt = PBInstance([Project(p.id, decimal(p.cost))
+                          for p in inst.projects], decimal(inst.budget))
+    clear_memos()
+    election = compile_election(inst, prof)
+    for twin in (rebuilt, pickle.loads(pickle.dumps(inst)),
+                 pickle.loads(pickle.dumps(rebuilt))):
+        assert twin is not inst and oracle_instances_equal(twin, inst)
+        assert twin == inst and hash(twin) == hash(inst)
+        assert compile_election(twin, prof) is election
+    assert core._compile.cache_info().misses == 1
+    # one cost up by a cent, the budget up by a cent, one id renamed, and
+    # two projects swapped
+    projects = list(inst.projects)
+    m = len(projects)
+    j = data.draw(st.integers(0, m - 1))
+    p = projects[j]
+    cent = Fraction(1, 100)
+    changed = [
+        (projects[:j] + [Project(p.id, p.cost + cent)] + projects[j + 1:],
+         inst.budget),
+        (projects, inst.budget + cent),
+        (projects[:j] + [Project(p.id + "x", p.cost)] + projects[j + 1:],
+         inst.budget)]
+    if m > 1:
+        k = (j + data.draw(st.integers(1, m - 1))) % m
+        swapped = projects[:]
+        swapped[j], swapped[k] = swapped[k], swapped[j]
+        changed.append((swapped, inst.budget))
+    for other in itertools.starmap(PBInstance, changed):
+        assert not oracle_instances_equal(other, inst)
+        assert other != inst and inst != other and not other == inst
 
 
 @settings(max_examples=200)
