@@ -5,6 +5,15 @@ ratio a named rule achieves on it and a closed-form ceiling the ratio must
 stay under.  `verify` replays the rule and checks both claims, which turns
 every analytic upper-bound argument into an executable test.
 
+`FAMILIES` is the one family table: it maps each family to its target rule,
+its ratio kind ("sw" for welfare, "rp" for representation), its builder and
+its default sweep.  `build`, `default_sweeps` and a case's `target_rule` and
+`ratio_kind` all read it.  A rational ceiling is stated once, as a
+`Fraction`, and its float and its test ``ratio <= ceiling`` both follow from
+it; only PAV_WELFARE's logarithmic and EJR_WELFARE's root ceiling carry
+their own.  `verify` runs the rule with ties broken against the case's
+ratio and divides the bundle's score by the one optimum that ratio needs.
+
 Families
 --------
 GREEDY_WELFARE / GREEDY_REP
@@ -36,12 +45,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .bench import run_rule, score_bundles
-from .core import ApprovalProfile, PBInstance, Project, as_fraction
-from .exact import SearchBudget, TieBreakPolicy
+from .bench import run_rule
+from .core import (ApprovalProfile, PBInstance, Project, as_fraction,
+                   representation, social_welfare)
+from .exact import SearchBudget, TieBreakPolicy, optimum_value
 
 
 class Family(str, Enum):
@@ -61,12 +70,18 @@ class AdversarialCase:
     params: dict
     instance: PBInstance
     profile: ApprovalProfile
-    target_rule: str
-    ratio_kind: str  # "sw" | "rp"
     expected_ratio: Fraction
     bound_value: float
     bound_holds: Callable[[Fraction], bool]
     notes: str = ""
+
+    @property
+    def target_rule(self) -> str:
+        return FAMILIES[self.family].rule
+
+    @property
+    def ratio_kind(self) -> str:  # "sw" | "rp"
+        return FAMILIES[self.family].kind
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,11 @@ class VerifyReport:
         return self.matches_expected and self.under_bound
 
 
+def _ceiling(bound: Fraction) -> dict:
+    """The `bound_value` and `bound_holds` of a rational ceiling."""
+    return {"bound_value": float(bound), "bound_holds": lambda r: r <= bound}
+
+
 def _build_greedy(family: Family, n: int, m: int, L) -> AdversarialCase:
     # 2 voters back one project costing the whole budget; n voters back one
     # cheap project each.  Each cheap project needs at most one approver so
@@ -93,22 +113,17 @@ def _build_greedy(family: Family, n: int, m: int, L) -> AdversarialCase:
     cheap = [Project(f"q{j:03d}", L / m) for j in range(m)]
     ballots = [frozenset({"p-big"})] * 2
     ballots += [frozenset({cheap[i].id}) for i in range(n)]
-    expected = Fraction(2, n)
-    N = n + 2
     return AdversarialCase(
         family=family,
         params={"n": n, "m": m, "L": L},
         instance=PBInstance((big, *cheap), L),
         profile=ApprovalProfile(tuple(ballots)),
-        target_rule="sPAV",
-        ratio_kind="sw" if family is Family.GREEDY_WELFARE else "rp",
-        expected_ratio=expected,
-        bound_value=4 / N,
-        bound_holds=lambda r, N=N: r <= Fraction(4, N),
+        expected_ratio=Fraction(2, n),
+        **_ceiling(Fraction(4, n + 2)),  # 4 / N over all N = n + 2 voters
     )
 
 
-def _build_av_rep(m: int, x: int, L) -> AdversarialCase:
+def _build_av_rep(family: Family, m: int, x: int, L) -> AdversarialCase:
     if m < 2 or x < 1:
         raise ValueError("requires m >= 2 and x >= 1")
     L = as_fraction(L)
@@ -119,21 +134,17 @@ def _build_av_rep(m: int, x: int, L) -> AdversarialCase:
         projects.extend(group)
         size = x + 1 if g == 0 else x
         ballots += [frozenset(p.id for p in group)] * size
-    c_min = L / m
     return AdversarialCase(
-        family=Family.AV_REP,
+        family=family,
         params={"m": m, "x": x, "L": L},
         instance=PBInstance(tuple(projects), L),
         profile=ApprovalProfile(tuple(ballots)),
-        target_rule="AV",
-        ratio_kind="rp",
         expected_ratio=Fraction(x + 1, m * x + 1),
-        bound_value=float(2 * c_min / L),
-        bound_holds=lambda r, b=2 * c_min / L: r <= b,
+        **_ceiling(Fraction(2, m)),  # 2 * c_min / L with c_min = L/m
     )
 
 
-def _build_cc_welfare(n: int, L) -> AdversarialCase:
+def _build_cc_welfare(family: Family, n: int, L) -> AdversarialCase:
     if n < 2:
         raise ValueError("requires n >= 2")
     L = as_fraction(L)
@@ -143,19 +154,16 @@ def _build_cc_welfare(n: int, L) -> AdversarialCase:
     ballots += [frozenset({p.id}) for p in singles]
     k = (n * n - 1) // n
     return AdversarialCase(
-        family=Family.CC_WELFARE,
+        family=family,
         params={"n": n, "L": L},
         instance=PBInstance((*shared, *singles), L),
         profile=ApprovalProfile(tuple(ballots)),
-        target_rule="CC",
-        ratio_kind="sw",
         expected_ratio=Fraction(n + k, n * n),
-        bound_value=4 / (n + 1),  # 4 * c_min / L with c_min = L/(n+1)
-        bound_holds=lambda r, n=n: r <= Fraction(4, n + 1),
+        **_ceiling(Fraction(4, n + 1)),  # 4 * c_min / L, c_min = L/(n+1)
     )
 
 
-def _build_pav_welfare(x: int, L) -> AdversarialCase:
+def _build_pav_welfare(family: Family, x: int, L) -> AdversarialCase:
     if x < 2:
         raise ValueError("requires x >= 2")
     L = as_fraction(L)
@@ -166,12 +174,10 @@ def _build_pav_welfare(x: int, L) -> AdversarialCase:
     expected = Fraction(math.floor(math.log(x)) + 2, x)
     bound = (math.log(x) + 2) / x  # (c_min/L)(ln(L/c_min) + 2)
     return AdversarialCase(
-        family=Family.PAV_WELFARE,
+        family=family,
         params={"x": x, "L": L},
         instance=PBInstance((*cheap, big), L),
         profile=ApprovalProfile(tuple(ballots)),
-        target_rule="PAV",
-        ratio_kind="sw",
         expected_ratio=expected,
         bound_value=bound,
         bound_holds=lambda r, b=bound: float(r) <= b + 1e-12,
@@ -179,7 +185,7 @@ def _build_pav_welfare(x: int, L) -> AdversarialCase:
     )
 
 
-def _build_pav_rep(L: int) -> AdversarialCase:
+def _build_pav_rep(family: Family, L: int) -> AdversarialCase:
     n = math.floor(math.log(L)) - 1
     if n < 1:
         raise ValueError("requires floor(log L) >= 2, i.e. L >= 8")
@@ -188,21 +194,17 @@ def _build_pav_rep(L: int) -> AdversarialCase:
     first = frozenset({big.id}) | frozenset(u.id for u in units)
     rest = frozenset({big.id})
     ballots = [first] + [rest] * (n - 1)
-    expected = Fraction(1, n)
     return AdversarialCase(
-        family=Family.PAV_REP,
+        family=family,
         params={"L": L, "n": n},
         instance=PBInstance((big, *units), Fraction(L)),
         profile=ApprovalProfile(tuple(ballots)),
-        target_rule="PAV",
-        ratio_kind="rp",
-        expected_ratio=expected,
-        bound_value=1 / n,
-        bound_holds=lambda r, n=n: r <= Fraction(1, n),
+        expected_ratio=Fraction(1, n),
+        **_ceiling(Fraction(1, n)),
     )
 
 
-def _build_ejr_rep(n: int, L) -> AdversarialCase:
+def _build_ejr_rep(family: Family, n: int, L) -> AdversarialCase:
     if n < 2:
         raise ValueError("requires n >= 2")
     L = as_fraction(L)
@@ -211,20 +213,17 @@ def _build_ejr_rep(n: int, L) -> AdversarialCase:
     big = Project("b", Fraction(n - 1, n) * L + eps)
     ballots = [frozenset({"a0", "a1"})] + [frozenset({"b"})] * (n - 1)
     return AdversarialCase(
-        family=Family.EJR_REP,
+        family=family,
         params={"n": n, "L": L, "eps": eps},
         instance=PBInstance((*tiny, big), L),
         profile=ApprovalProfile(tuple(ballots)),
-        target_rule="RX",
-        ratio_kind="rp",
         expected_ratio=Fraction(1, n),
-        bound_value=1 / (n - 1) if n > 1 else 1.0,
-        bound_holds=lambda r, n=n: r <= Fraction(1, n - 1),
+        **_ceiling(Fraction(1, n - 1)),
         notes="proportionality-respecting rules must fund both tiny projects",
     )
 
 
-def _build_ejr_welfare(n: int, L) -> AdversarialCase:
+def _build_ejr_welfare(family: Family, n: int, L) -> AdversarialCase:
     if n < 4:
         raise ValueError("requires n >= 4")
     L = as_fraction(L)
@@ -240,50 +239,71 @@ def _build_ejr_welfare(n: int, L) -> AdversarialCase:
         return (r + Fraction(1, n)) ** 2 * n <= 16
 
     return AdversarialCase(
-        family=Family.EJR_WELFARE,
+        family=family,
         params={"n": n, "L": L, "s": s},
         instance=PBInstance((*shared, *singles), L),
         profile=ApprovalProfile(tuple(ballots)),
-        target_rule="RX",
-        ratio_kind="sw",
         expected_ratio=expected,
         bound_value=4 / math.sqrt(n) - 1 / n,
         bound_holds=under,
     )
 
 
-_BUILDERS = {
-    Family.GREEDY_WELFARE: partial(_build_greedy, Family.GREEDY_WELFARE),
-    Family.GREEDY_REP: partial(_build_greedy, Family.GREEDY_REP),
-    Family.AV_REP: _build_av_rep,
-    Family.CC_WELFARE: _build_cc_welfare,
-    Family.PAV_WELFARE: _build_pav_welfare,
-    Family.PAV_REP: _build_pav_rep,
-    Family.EJR_REP: _build_ejr_rep,
-    Family.EJR_WELFARE: _build_ejr_welfare,
+class Construction(NamedTuple):
+    rule: str  # a name of `bench.RULES`
+    kind: str  # the ratio: "sw" | "rp"
+    build: Callable[..., AdversarialCase]  # (family, **params) -> case
+    sweep: list[dict]  # the default parameter points
+
+
+FAMILIES = {
+    Family.GREEDY_WELFARE: Construction(
+        "sPAV", "sw", _build_greedy,
+        [{"n": n, "m": n, "L": 1000} for n in range(10, 210, 20)]),
+    Family.GREEDY_REP: Construction(
+        "sPAV", "rp", _build_greedy,
+        [{"n": n, "m": n, "L": 1000} for n in range(10, 210, 20)]),
+    Family.AV_REP: Construction(
+        "AV", "rp", _build_av_rep,
+        [{"m": m, "x": x, "L": 100} for m in range(2, 7) for x in (1, 3)]),
+    Family.CC_WELFARE: Construction(
+        "CC", "sw", _build_cc_welfare,
+        [{"n": n, "L": 100} for n in range(3, 13)]),
+    Family.PAV_WELFARE: Construction(
+        "PAV", "sw", _build_pav_welfare,
+        [{"x": x, "L": 100} for x in range(4, 14)]),
+    Family.PAV_REP: Construction(
+        "PAV", "rp", _build_pav_rep,
+        [{"L": L} for L in range(8, 28, 2)]),
+    Family.EJR_REP: Construction(
+        "RX", "rp", _build_ejr_rep,
+        [{"n": n, "L": 100} for n in range(2, 12)]),
+    Family.EJR_WELFARE: Construction(
+        "RX", "sw", _build_ejr_welfare,
+        [{"n": n, "L": 100} for n in range(4, 14)]),
 }
 
 
 def build(family: Family, **params) -> AdversarialCase:
     """Construct a worst-case instance for the given family."""
-    return _BUILDERS[Family(family)](**params)
+    family = Family(family)
+    return FAMILIES[family].build(family, **params)
 
 
 def verify(case: AdversarialCase,
            search_budget: SearchBudget = SearchBudget()) -> VerifyReport:
-    """Replay the target rule, score its bundle as `bench.score_bundles`
-    scores a row, and check the claimed ratio and ceiling.
+    """Replay the target rule and check the claimed ratio and ceiling.
 
     Ties go to the worst bundle for the ratio in question; sPAV, which has
-    no tie set, falls back to cheapest-first.
+    no tie set, falls back to cheapest-first.  The ratio divides the
+    bundle's sw or rp by that one optimum, so `verify` searches once.
     """
-    inst, prof = case.instance, case.profile
-    worst = (TieBreakPolicy.worst_sw() if case.ratio_kind == "sw"
-             else TieBreakPolicy.worst_rp())
-    bundle = run_rule(case.target_rule, inst, prof, worst, search_budget)
-    _, _, util, rep = score_bundles(inst, prof, {case.target_rule: bundle},
-                                    search_budget)[case.target_rule]
-    achieved = util if case.ratio_kind == "sw" else rep
+    inst, prof, kind = case.instance, case.profile, case.ratio_kind
+    bundle = run_rule(case.target_rule, inst, prof,
+                      TieBreakPolicy(f"worst-{kind}"), search_budget)
+    score = social_welfare if kind == "sw" else representation
+    achieved = Fraction(score(prof, bundle),
+                        optimum_value(kind, inst, prof, search_budget))
     return VerifyReport(
         case=case,
         achieved_ratio=achieved,
@@ -294,22 +314,5 @@ def verify(case: AdversarialCase,
 
 def default_sweeps() -> dict[Family, list[dict]]:
     """Parameter sweeps used by the CLI and the acceptance suite."""
-    return {
-        Family.GREEDY_WELFARE: [
-            {"n": n, "m": n, "L": 1000} for n in range(10, 210, 20)],
-        Family.GREEDY_REP: [
-            {"n": n, "m": n, "L": 1000} for n in range(10, 210, 20)],
-        Family.AV_REP: [
-            {"m": m, "x": x, "L": 100}
-            for m in range(2, 7) for x in (1, 3)],
-        Family.CC_WELFARE: [
-            {"n": n, "L": 100} for n in range(3, 13)],
-        Family.PAV_WELFARE: [
-            {"x": x, "L": 100} for x in range(4, 14)],
-        Family.PAV_REP: [
-            {"L": L} for L in range(8, 28, 2)],
-        Family.EJR_REP: [
-            {"n": n, "L": 100} for n in range(2, 12)],
-        Family.EJR_WELFARE: [
-            {"n": n, "L": 100} for n in range(4, 14)],
-    }
+    return {family: [dict(params) for params in construction.sweep]
+            for family, construction in FAMILIES.items()}

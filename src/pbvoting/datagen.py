@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .core import ApprovalProfile, PBInstance, Project
 
@@ -42,7 +42,6 @@ class EuclideanConfig:
     cost_min_range: tuple[float, float] = (100.0, 500.0)
     cost_avg_range: tuple[float, float] = (10_000.0, 20_000.0)
     sigma: float = 0.2  # spatial spread around the square's center
-    drop_unapproved: bool = True
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,9 @@ def gen_euclidean(seed: int,
     ballots = [frozenset(map(ids.__getitem__, row[:size]))
                for row, size in zip(order, sizes.tolist())]
 
-    projects = [Project(pid, c) for pid, c in zip(ids, costs)]
-    if cfg.drop_unapproved:
-        approved = frozenset().union(*ballots)
-        projects = [p for p in projects if p.id in approved]
+    approved = frozenset().union(*ballots)
+    projects = [Project(pid, c) for pid, c in zip(ids, costs)
+                if pid in approved]
     total = sum((p.cost for p in projects), Fraction(0))
     budget = _cents(float(total * cfg.budget_fraction))
     instance = PBInstance(tuple(projects), budget)
@@ -157,15 +155,12 @@ PRESETS: dict[str, tuple[str, object]] = {
 GENERATOR_NAMES = frozenset(("euclidean", "partylist", *PRESETS))
 
 
-def generate(kind: str, seed: int,
-             config: Optional[object] = None
-             ) -> tuple[PBInstance, ApprovalProfile]:
-    """Dispatch by generator kind ("euclidean" | "partylist") or preset name."""
-    if kind in PRESETS:
-        preset_kind, preset_cfg = PRESETS[kind]
-        return generate(preset_kind, seed, config or preset_cfg)
+def generate(name: str, seed: int) -> tuple[PBInstance, ApprovalProfile]:
+    """Dispatch by generator kind ("euclidean" | "partylist", each with its
+    default config) or preset name."""
+    kind, *config = PRESETS.get(name, (name,))
     if kind == "euclidean":
-        return gen_euclidean(seed, config or EuclideanConfig())
+        return gen_euclidean(seed, *config)
     if kind == "partylist":
-        return gen_party_list(seed, config or PartyListConfig())
-    raise ValueError(f"unknown generator or preset {kind!r}")
+        return gen_party_list(seed, *config)
+    raise ValueError(f"unknown generator or preset {name!r}")

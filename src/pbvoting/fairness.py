@@ -80,11 +80,6 @@ def is_cohesive(instance: PBInstance, profile: ApprovalProfile,
 _DEFAULT_CAP = 10
 
 
-def default_t_cap(instance: PBInstance) -> int:
-    """Search depth covering every feasible witness size, capped at 10."""
-    return min(max_t_cap(instance), _DEFAULT_CAP)
-
-
 def max_t_cap(instance: PBInstance) -> int:
     """Largest possible |T| of any feasible witness."""
     return int(instance.budget // instance.c_min)

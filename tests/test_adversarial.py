@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+from pbvoting import adversarial, bench, exact
 from pbvoting.adversarial import Family, build, default_sweeps, verify
 from pbvoting.core import social_welfare
 from pbvoting.exact import TieBreakPolicy, solve_cc, optimum_value
@@ -81,3 +83,38 @@ def test_every_family_verifies():
 def test_build_rejects_unknown_family():
     with pytest.raises(ValueError):
         build("NOT_A_FAMILY")
+
+
+def test_verify_searches_only_the_optimum_of_its_ratio(monkeypatch):
+    searched = []
+
+    def recorded(objective, *args):
+        searched.append(objective)
+        return optimum_value(objective, *args)
+
+    for module in (exact, bench, adversarial):
+        monkeypatch.setattr(module, "optimum_value", recorded, raising=False)
+    for family, sweeps in default_sweeps().items():
+        searched.clear()
+        case = build(family, **sweeps[0])
+        assert verify(case).ok, family
+        assert searched == [case.ratio_kind], family
+
+
+@pytest.mark.parametrize("family, params, message", [
+    (Family.GREEDY_WELFARE, {"n": 2, "m": 2, "L": 1000},
+     "requires n >= 3 and m >= n"),
+    (Family.GREEDY_REP, {"n": 2, "m": 2, "L": 1000},
+     "requires n >= 3 and m >= n"),
+    (Family.AV_REP, {"m": 1, "x": 1, "L": 100}, "requires m >= 2 and x >= 1"),
+    (Family.AV_REP, {"m": 2, "x": 0, "L": 100}, "requires m >= 2 and x >= 1"),
+    (Family.CC_WELFARE, {"n": 1, "L": 100}, "requires n >= 2"),
+    (Family.PAV_WELFARE, {"x": 1, "L": 100}, "requires x >= 2"),
+    (Family.PAV_REP, {"L": 7}, "requires floor(log L) >= 2, i.e. L >= 8"),
+    (Family.EJR_REP, {"n": 1, "L": 100}, "requires n >= 2"),
+    (Family.EJR_WELFARE, {"n": 3, "L": 100}, "requires n >= 4"),
+])
+def test_each_builder_rejects_a_parameter_below_its_minimum(family, params,
+                                                             message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(family, **params)

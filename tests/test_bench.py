@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,17 @@ def test_spec_requires_rules():
         ExperimentSpec(dataset="city", rules=("AV", "XYZ"))
     with pytest.raises(ValueError):
         ExperimentSpec(dataset="city", rules=("AV",), tiebreak="bogus")
+    with pytest.raises(ValueError, match="^n_instances must be positive$"):
+        ExperimentSpec(dataset="city", rules=("AV",), n_instances=0)
+
+
+def test_load_dataset_refuses_an_unknown_name_and_an_empty_directory(
+        tmp_path):
+    with pytest.raises(ValueError, match="^unknown dataset 'martian'$"):
+        bench.load_dataset("martian")
+    message = f"no .pb files under {tmp_path}"
+    with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
+        bench.load_dataset(f"pabulib:{tmp_path}")
 
 
 def test_city_rows_reproduce_reference_ratios():

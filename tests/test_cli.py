@@ -10,6 +10,7 @@ from pbvoting.core import ApprovalProfile
 from pbvoting.datagen import EuclideanConfig, gen_euclidean
 from pbvoting.instances import tiny
 from pbvoting.pabulib import write_pb
+from pbvoting.plotting import scatter_svg
 
 DATA = Path(__file__).parent / "data"
 
@@ -270,3 +271,40 @@ def test_a_bench_flag_overrides_its_config_key(tmp_path, monkeypatch, capsys):
 def test_bench_needs_a_dataset_and_rules(capsys):
     assert main(["bench", "--rules", "AV"]) == 2
     assert capsys.readouterr().err == "error: spec needs dataset and rules\n"
+
+
+def test_adversarial_writes_the_committed_sweeps_csv(tmp_path, capsys):
+    out = tmp_path / "sweeps.csv"
+    assert main(["adversarial", "--out-csv", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "adversarial.csv").read_bytes()
+    assert len(capsys.readouterr().out.splitlines()) == 80  # one per point
+
+
+def test_check_ejr_reports_the_witness_of_a_violating_bundle(capsys):
+    # city's worst-rp AV bundle funds group A alone
+    bundle = "A-d0,A-d1,A-g0,A-g1,A-g2,A-g3,A-g4,A-g5"
+    assert main(["check-ejr", "--dataset", "city", "--bundle", bundle]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "verdict   violated (t_cap 10)", "witness   T=['B-d0'] |S|=90"]
+
+
+def test_bench_writes_the_summary_csv_and_the_plot(tmp_path, capsys):
+    summary, svg = tmp_path / "summary.csv", tmp_path / "plot.svg"
+    assert main(["bench", "--dataset", "city", "--rules", "AV,CC,RX",
+                 "--tiebreak", "lex-by-id", "--out-summary-csv",
+                 str(summary), "--out-svg", str(svg)]) == 0
+    summaries = bench.aggregate(bench.run_experiment(ExperimentSpec(
+        "city", ("AV", "CC", "RX"), tiebreak="lex-by-id")))
+    assert capsys.readouterr().out == bench.summaries_to_text(summaries)
+    assert summary.read_text(encoding="utf-8") == bench.summaries_to_csv(
+        summaries)
+    assert svg.read_text(encoding="utf-8") == scatter_svg({"city": summaries})
+
+
+def test_generate_refuses_a_dataset_that_is_not_a_generator(tmp_path,
+                                                            capsys):
+    assert main(["generate", "--dataset", "city",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: generate needs a generator dataset, got 'city'\n")
+    assert not any(tmp_path.iterdir())

@@ -5,8 +5,7 @@ import pytest
 from conftest import oracle_ejr_violated, oracle_is_cohesive, random_instance
 from pbvoting.core import ApprovalProfile, PBInstance, Project
 from pbvoting.exact import TieBreakPolicy, solve_av, solve_cc
-from pbvoting.fairness import (default_t_cap, find_ejr_violation,
-                               is_cohesive, max_t_cap)
+from pbvoting.fairness import find_ejr_violation, is_cohesive, max_t_cap
 
 
 def test_is_cohesive_on_city(city_pair):
@@ -72,9 +71,20 @@ def test_no_voters_have_share_zero(city_pair):
 
 
 def test_t_caps(city_pair):
-    inst, _ = city_pair
+    inst, prof = city_pair
     assert max_t_cap(inst) == 10  # 1000 // 100
-    assert default_t_cap(inst) == 10
+    assert find_ejr_violation(inst, prof, []).cap == 10
+
+
+def test_the_default_cap_is_max_t_cap_up_to_ten():
+    below = above = 0
+    for seed in range(200):
+        inst, prof = random_instance(seed)
+        top = max_t_cap(inst)
+        assert find_ejr_violation(inst, prof, []).cap == min(top, 10), seed
+        below += top < 10
+        above += top > 10
+    assert below and above  # the sample reaches both sides of the cap
 
 
 def test_city_av_bundle_violates_ejr(city_pair):

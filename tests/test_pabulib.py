@@ -218,6 +218,24 @@ def test_zero_projects_is_a_parse_error():
         parse_pb(text)
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_budget_of_zero_or_less_is_refused(budget):
+    bad = MINIMAL.replace("budget;1000", f"budget;{budget}")
+    with pytest.raises(PabulibParseError,
+                       match=f"^budget must be positive, got {budget}$"):
+        parse_pb(bad)
+
+
+@pytest.mark.parametrize("name, header", [
+    ("PROJECTS", "project_id;cost\np;100\n"),
+    ("VOTES", "voter_id;vote\nv1;p\n")])
+def test_a_section_with_no_header_row_is_refused(name, header):
+    bad = MINIMAL.replace(header, "")
+    with pytest.raises(PabulibParseError,
+                       match=f"^section {name} has no header row$"):
+        parse_pb(bad)
+
+
 # a fraction; two spellings of 10 that `Fraction` reads but that are not
 # ASCII decimals, a digit separator and fullwidth digits; and an exponent
 # too long to expand.  Each with its whole error, naming its field.
